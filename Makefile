@@ -33,8 +33,9 @@ bench:
 chaos:
 	$(PYTHON) -m repro chaos --jobs 2 --manifest CHAOS.manifest.json
 
-# Tiny sampled sweep through each executor backend; fails on
-# cross-backend divergence or dropped points (writes BENCH_sweep.json).
+# Tiny sampled sweep through both executor backends (serial and
+# process-pool); fails unless they agree bit for bit and drop no points
+# (writes BENCH_sweep.json).
 sweep-smoke:
 	$(PYTHON) -m repro.perf.sweep_smoke
 

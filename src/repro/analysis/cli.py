@@ -5,7 +5,6 @@ Subcommands:
 * ``lint [paths...]`` -- run the custom AST rules over the given files or
   directories (default: ``src``, ``benchmarks`` and ``tests`` under the
   current directory).  Exits 1 when findings exist, so CI can gate on it.
-  ``--jobs N`` fans the per-file checks over a process pool;
   ``--baseline FILE`` suppresses findings frozen in a baseline file and
   ``--write-baseline FILE`` (re)freezes the current findings (with
   ``--select``, only the selected families -- others are preserved).
@@ -64,7 +63,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    findings = lint_paths(targets, jobs=args.jobs)
+    findings = lint_paths(targets)
     if args.select:
         prefixes = tuple(args.select)
         known = [
@@ -182,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="only report rule IDs starting with PREFIX "
              "(repeatable; e.g. --select REP2 for the unit rules)",
-    )
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan per-file checks over N pool workers (default: serial)",
     )
     lint.add_argument(
         "--profile",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Type
 
 from repro.analysis.findings import Finding
 
@@ -221,85 +221,11 @@ def lint_sources(sources: Sequence[Tuple[str, str]]) -> List[Finding]:
     return Linter(DEFAULT_RULES).lint_sources(sources)
 
 
-#: Below this many files a process pool costs more than it saves.
-_PARALLEL_MIN_FILES = 8
-
-
-def _lint_worker(files: List[str], start: int, stop: int,
-                 ctx: object = None) -> List[Finding]:
-    """Pool worker: prepare on the full fileset, check one chunk.
-
-    Every worker re-runs :meth:`LintRule.prepare` over the complete
-    batch (cross-file passes need the whole call graph regardless of
-    which files this worker checks), then lints only ``files[start:stop]``.
-    Findings are plain frozen dataclasses, so they pickle straight back.
-    """
-    from repro import faults
+def lint_paths(paths: Iterable[Path]) -> List[Finding]:
+    """Lint files/directories with the default rule set."""
     from repro.analysis.rules import DEFAULT_RULES
 
-    faults.enter_worker(ctx)
     sources = [
-        (name, Path(name).read_text(encoding="utf-8")) for name in files
+        (str(path), path.read_text(encoding="utf-8")) for path in _expand(paths)
     ]
-    linter = Linter(DEFAULT_RULES)
-    linter._prepare(sources)
-    findings: List[Finding] = []
-    for path, source in sources[start:stop]:
-        findings.extend(linter._lint_prepared(source, path))
-    return findings
-
-
-def lint_paths(paths: Iterable[Path], jobs: int = 1) -> List[Finding]:
-    """Lint files/directories with the default rule set.
-
-    With ``jobs > 1`` the per-file checks fan out over a process pool
-    through :func:`repro.faults.run_fanout` (the same fault-tolerant
-    scheduler the experiment runner uses), merging chunk results in
-    submission order so the output is byte-identical to a serial run.
-    Any chunk the pool fails to produce is re-linted serially.
-    """
-    from repro.analysis.rules import DEFAULT_RULES
-
-    files = [str(path) for path in _expand(paths)]
-    jobs = max(1, int(jobs))
-    if jobs <= 1 or len(files) < _PARALLEL_MIN_FILES:
-        sources = [
-            (name, Path(name).read_text(encoding="utf-8")) for name in files
-        ]
-        return Linter(DEFAULT_RULES).lint_sources(sources)
-
-    from repro.faults import FanoutTask, run_fanout
-
-    chunks = min(jobs, len(files))
-    bounds = [
-        (index * len(files) // chunks, (index + 1) * len(files) // chunks)
-        for index in range(chunks)
-    ]
-    results, _report = run_fanout(
-        [
-            FanoutTask(key=index, fn=_lint_worker,
-                       args=(files, start, stop))
-            for index, (start, stop) in enumerate(bounds)
-        ],
-        jobs=jobs,
-        phase="analysis.lint_fanout",
-    )
-    findings: List[Finding] = []
-    fallback: Optional[Linter] = None
-    for index, (start, stop) in enumerate(bounds):
-        if index in results:
-            findings.extend(results[index])
-            continue
-        if fallback is None:
-            fallback = Linter(DEFAULT_RULES)
-            fallback._prepare([
-                (name, Path(name).read_text(encoding="utf-8"))
-                for name in files
-            ])
-        for name in files[start:stop]:
-            findings.extend(
-                fallback._lint_prepared(
-                    Path(name).read_text(encoding="utf-8"), name
-                )
-            )
-    return findings
+    return Linter(DEFAULT_RULES).lint_sources(sources)

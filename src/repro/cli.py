@@ -47,6 +47,7 @@ from repro import obs
 from repro.core import Design
 from repro.core.angle import DEFAULT_THRESHOLD
 from repro.experiments.runner import FAST_WORKLOADS, ExperimentRunner
+from repro.faults import BACKEND_NAMES
 from repro.workloads import workload_by_name, workload_names
 
 FIGURES = {
@@ -198,7 +199,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 fast=args.fast,
                 jobs=args.jobs,
                 min_speedup=args.min_speedup,
-                lint_min_speedup=args.lint_min_speedup,
                 frame_min_speedup=args.frame_min_speedup,
                 output_dir=args.output_dir,
             )
@@ -209,7 +209,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 command="bench",
                 config={"fast": args.fast, "jobs": args.jobs,
                         "min_speedup": args.min_speedup,
-                        "lint_min_speedup": args.lint_min_speedup,
                         "frame_min_speedup": args.frame_min_speedup,
                         "output_dir": args.output_dir},
             )
@@ -522,17 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single-workload smoke configuration (CI)")
     bench.add_argument("--jobs", type=int, default=None,
                        help="parallel workers for the cold runner benchmark")
-    bench.add_argument("--lint-min-speedup", type=float, default=0.0,
-                       help="fail unless parallel lint beats serial by this "
-                            "factor (0 disables; single-core boxes cannot "
-                            "win, see BENCH_lint.json)")
     bench.add_argument("--min-speedup", type=float, default=1.0,
                        help="fail if the batched exact sampler's slowest "
                        "workload speedup is below this factor")
     bench.add_argument("--frame-min-speedup", type=float, default=1.0,
                        help="fail if the whole-frame (trace+replay) "
-                       "vectorized speedup is below this factor on any "
-                       "workload, see BENCH_frame.json")
+                       "speedup over the scalar oracles is below this "
+                       "factor on any workload, see BENCH_frame.json")
     bench.add_argument("--output-dir", default=".",
                        help="directory for BENCH_*.json (default: cwd)")
     bench.add_argument("--manifest", nargs="?", const="", default=None,
@@ -578,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default: 0)")
     sweep.add_argument("--backend", default="process-pool",
-                       choices=["serial", "process-pool", "work-stealing"],
+                       choices=BACKEND_NAMES,
                        help="executor backend for the fan-out "
                        "(default: process-pool)")
     sweep.add_argument("--jobs", type=int, default=None,
@@ -631,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default worker processes per job (a "
                        "request's own 'jobs' field overrides)")
     serve.add_argument("--backend", default=None,
-                       choices=["serial", "process-pool", "work-stealing"],
+                       choices=BACKEND_NAMES,
                        help="default executor backend (a request's own "
                        "'backend' field overrides)")
     serve.set_defaults(func=_cmd_serve)

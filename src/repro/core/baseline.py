@@ -77,20 +77,6 @@ class GpuFilteringPath(TexturePath):
                 data_ready = ready
         return unit.filter_texels(data_ready, num_texels)
 
-    def serve_batch(
-        self,
-        clusters: Sequence[int],
-        issue: float,
-        expansions: Sequence[ExpandedRequest],
-    ) -> np.ndarray:
-        """Batched twin of :meth:`serve`: a one-shot replay session."""
-        session = self.begin_replay(expansions)
-        served = session.serve_chunk(
-            clusters, issue, list(range(len(expansions)))
-        )
-        session.finish()
-        return np.asarray(served, dtype=np.float64)
-
     def begin_replay(
         self, expansions: Sequence[ExpandedRequest]
     ) -> "_GpuReplaySession":
@@ -221,7 +207,7 @@ class _GpuReplaySession(ReplaySession):
 
     ``serve_chunk`` is built as a closure in ``__init__`` so that every
     per-trace constant and every piece of mutable timing state is a cell
-    variable rather than an attribute: the batched scheduler's chunks
+    variable rather than an attribute: the replay scheduler's chunks
     are usually a single request (cluster clocks drift apart within a
     few rounds), so per-call attribute-to-local hoisting would cost more
     than the serving arithmetic itself.

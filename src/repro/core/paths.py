@@ -14,8 +14,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.core.designs import DesignConfig
 from repro.core.expansion import ExpandedRequest
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
@@ -288,7 +286,7 @@ class PathActivity:
 
 
 class ReplaySession:
-    """Per-replay serving context for the batched scheduler.
+    """Per-replay serving context for the replay scheduler.
 
     Created by :meth:`TexturePath.begin_replay` with the full expansion
     list of the frame.  The scheduler calls :meth:`serve_chunk` once per
@@ -312,7 +310,7 @@ class ReplaySession:
     def serve_one(self, cluster: int, issue: float, index: int) -> float:
         """Serve the single request at ``index`` issuing at ``issue``.
 
-        The batched scheduler's rounds are almost always singletons
+        The replay scheduler's rounds are almost always singletons
         (cluster clocks drift apart within a few cycles), so this is
         its hot entry point; :meth:`serve_chunk` handles the rare
         multi-cluster rounds.  Both must produce the identical scalar
@@ -345,37 +343,12 @@ class TexturePath(abc.ABC):
     def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
         """Serve one request; return the completion cycle at the shader."""
 
-    def serve_batch(
-        self,
-        clusters: Sequence[int],
-        issue: float,
-        expansions: Sequence[ExpandedRequest],
-    ) -> np.ndarray:
-        """Serve several requests that all issue at the same cycle.
-
-        ``clusters`` must be sorted ascending -- the batched replay
-        scheduler drains clusters ready at one timestamp in ascending
-        order, which is exactly the order the scalar heap loop pops
-        equal-time entries, so shared resources (L2 port, links, memory
-        channels) observe arrivals in the identical sequence either way.
-        Returns completion cycles in the same order.
-
-        The default walks :meth:`serve` per request: the correctness
-        fallback for paths without a specialised batch implementation.
-        Overrides must keep the per-request arithmetic bit-identical to
-        :meth:`serve` -- the replay parity tests compare the two.
-        """
-        completions = np.empty(len(expansions), dtype=np.float64)
-        for index, (cluster, expanded) in enumerate(zip(clusters, expansions)):
-            completions[index] = self.serve(cluster, issue, expanded)
-        return completions
-
     def begin_replay(
         self, expansions: Sequence[ExpandedRequest]
     ) -> ReplaySession:
         """Open a serving session for one replay of ``expansions``.
 
-        The batched scheduler serves every request of a replay through
+        The replay scheduler serves every request of a replay through
         one session, letting path implementations precompute per-request
         columns (texel counts, stage occupancies, cache set/tag address
         math) as whole-trace numpy expressions and keep hot counters in

@@ -37,7 +37,7 @@ import tempfile
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator, List, Optional, Tuple
 
@@ -122,6 +122,14 @@ class CacheStats:
         """Fraction of loads served from disk (0.0 when never consulted)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+    def add(self, other: "CacheStats") -> None:
+        """Fold another instance's counters into this one."""
+        for item in fields(self):
+            setattr(
+                self, item.name,
+                getattr(self, item.name) + getattr(other, item.name),
+            )
 
 
 def _canonical_payload(value: Any, path: str) -> Any:

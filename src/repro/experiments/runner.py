@@ -38,14 +38,14 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro import faults, obs
 from repro.core import Design, simulate_frame
 from repro.core.angle import DEFAULT_THRESHOLD, AngleThreshold
 from repro.core.frontend import DesignRun
 from repro.energy import EnergyBreakdown, EnergyModel
-from repro.experiments.cache import DiskCache
+from repro.experiments.cache import CacheStats, DiskCache
 from repro.faults import (
     FanoutReport,
     FanoutTask,
@@ -126,28 +126,40 @@ def _trace_pair(
     return pair
 
 
+class _WorkerResult(NamedTuple):
+    """What a pool worker sends back to the runner."""
+
+    value: Any
+    cache_stats: CacheStats
+    """Counters of the worker's own :class:`DiskCache`; the runner folds
+    them into its cache's counters so :meth:`ExperimentRunner.cache_stats`
+    covers work done in other processes."""
+    spans: Sequence[Dict[str, Any]] = ()
+    """The worker's span forest (traced workers only)."""
+
+
 def _worker_trace(
     workload_name: str, cache_root: str,
     ctx: Optional[FaultContext] = None,
-) -> str:
+) -> _WorkerResult:
     """Pool worker: ensure one workload's trace exists in the disk cache."""
     faults.enter_worker(ctx)
     cache = DiskCache(root=Path(cache_root))
     _trace_pair(cache, workload_by_name(workload_name))
-    return workload_name
+    return _WorkerResult(workload_name, cache.stats)
 
 
 def _worker_run(
     key: RunKey, cache_root: str,
     ctx: Optional[FaultContext] = None,
-) -> DesignRun:
+) -> _WorkerResult:
     """Pool worker: simulate one grid point, reading/writing the cache."""
     faults.enter_worker(ctx)
     cache = DiskCache(root=Path(cache_root))
     run_key = cache.key("run", **_run_payload(key))
     hit, run = cache.load(run_key)
     if hit:
-        return run
+        return _WorkerResult(run, cache.stats)
     workload = workload_by_name(key.workload)
     scene, trace = _trace_pair(cache, workload)
     config = workload.design_config(
@@ -161,13 +173,13 @@ def _worker_run(
     )
     run = simulate_frame(scene, trace, config)
     cache.store_safe(run_key, run)
-    return run
+    return _WorkerResult(run, cache.stats)
 
 
 def _worker_trace_traced(
     workload_name: str, cache_root: str,
     ctx: Optional[FaultContext] = None,
-) -> Tuple[str, List[Dict[str, Any]]]:
+) -> _WorkerResult:
     """Traced pool worker: trace generation plus this worker's span forest.
 
     Forked workers inherit the parent's half-built tracer state, so the
@@ -179,29 +191,31 @@ def _worker_trace_traced(
     span forest.
     """
     if faults.suppressed() or faults.inline():
-        return _worker_trace(workload_name, cache_root, ctx), []
+        return _worker_trace(workload_name, cache_root, ctx)
     obs.reset_tracer()
     with obs.span("worker.trace", workload=workload_name):
         result = _worker_trace(workload_name, cache_root, ctx)
-    return result, obs.get_tracer().as_dicts()
+    return result._replace(spans=obs.get_tracer().as_dicts())
 
 
 def _worker_run_traced(
     key: RunKey, cache_root: str,
     ctx: Optional[FaultContext] = None,
-) -> Tuple[DesignRun, List[Dict[str, Any]]]:
+) -> _WorkerResult:
     """Traced pool worker: one grid point plus this worker's span forest."""
     if faults.suppressed() or faults.inline():
-        return _worker_run(key, cache_root, ctx), []
+        return _worker_run(key, cache_root, ctx)
     obs.reset_tracer()
     with obs.span(
         "worker.run", workload=key.workload, design=key.design.name
     ):
         result = _worker_run(key, cache_root, ctx)
-    return result, obs.get_tracer().as_dicts()
+    return result._replace(spans=obs.get_tracer().as_dicts())
 
 
-def _graft_worker_spans(phase_span, forests: Sequence[List[Dict[str, Any]]]) -> None:
+def _graft_worker_spans(
+    phase_span, forests: Sequence[Sequence[Dict[str, Any]]]
+) -> None:
     """Attach each worker's span forest to a fan-out phase span."""
     if phase_span is None:
         return
@@ -432,8 +446,8 @@ class ExperimentRunner:
         because the whole pipeline is deterministic.
 
         ``backend`` names an executor backend
-        (:data:`repro.faults.BACKEND_NAMES`: ``serial``,
-        ``process-pool``, ``work-stealing``); naming one explicitly --
+        (:data:`repro.faults.BACKEND_NAMES`: ``serial`` or
+        ``process-pool``); naming one explicitly --
         here or on the runner -- routes scheduling through
         :func:`~repro.faults.executor.run_fanout` on that backend even
         when ``jobs`` would otherwise take the in-process shortcut, so
@@ -515,15 +529,14 @@ class ExperimentRunner:
                         phase="faults.trace_fanout",
                         backend=backend,
                     )
-                    if traced:
-                        # Graft in submission order, not dict (completion)
-                        # order, so the manifest span tree is bit-identical
-                        # across runs.
-                        _graft_worker_spans(
-                            trace_phase,
-                            [trace_results[name][1] for name in workload_names
-                             if name in trace_results],
-                        )
+                    # Graft in submission order, not dict (completion)
+                    # order, so the manifest span tree is bit-identical
+                    # across runs.
+                    _graft_worker_spans(
+                        trace_phase,
+                        [trace_results[name].spans for name in workload_names
+                         if name in trace_results],
+                    )
                 report.merge(trace_report)
                 with obs.span(
                     "runner.run_phase", runs=len(pending)
@@ -541,19 +554,21 @@ class ExperimentRunner:
                         phase="faults.run_fanout",
                         backend=backend,
                     )
-                    if traced:
-                        _graft_worker_spans(
-                            run_phase,
-                            [run_results[key][1] for key in pending
-                             if key in run_results],
-                        )
+                    _graft_worker_spans(
+                        run_phase,
+                        [run_results[key].spans for key in pending
+                         if key in run_results],
+                    )
                 report.merge(run_report)
                 with self._memo_lock:
+                    if self._disk is not None:
+                        for worker in (*trace_results.values(),
+                                       *run_results.values()):
+                            self._disk.stats.add(worker.cache_stats)
                     for key in pending:
                         if key not in run_results:
                             continue  # FAILED: absent, labelled in the report
-                        value = run_results[key]
-                        run = value[0] if traced else value
+                        run = run_results[key].value
                         self._runs[key] = run
                         results[key] = run
                 if many_span is not None:

@@ -4,8 +4,9 @@ A sweep is a Cartesian product over four axes -- angle threshold,
 workload (which carries resolution), external-link bandwidth scale, and
 memory backend (:mod:`repro.memory.registry`) -- optionally subsampled
 to a fixed point budget, and executed as one batch through
-:meth:`~repro.experiments.runner.ExperimentRunner.run_many` on any
-executor backend (:data:`repro.faults.BACKEND_NAMES`).
+:meth:`~repro.experiments.runner.ExperimentRunner.run_many` on either
+executor backend (``serial`` or ``process-pool``, see
+:data:`repro.faults.BACKEND_NAMES`).
 
 Two properties make thousand-point sweeps cheap and comparable:
 

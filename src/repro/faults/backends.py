@@ -8,33 +8,19 @@ through a small protocol:
 ``submit``
     start one attempt, returning a :class:`~concurrent.futures.Future`
     (possibly already completed, for in-process backends);
-``domain_of``
-    the **fault domain** an attempt runs in -- the blast radius of one
-    worker-pool failure.  When a pool breaks or is killed to reclaim a
-    hung task, only attempts in the same domain are affected;
 ``recover``
-    tear down and rebuild one broken domain, leaving the others alone;
-``release``
-    bookkeeping hook: the scheduler no longer tracks this future.
+    tear down and rebuild the broken workers.  Each backend is one
+    **fault domain**: when its pool breaks or is killed to reclaim a
+    hung task, every attempt in flight is affected.
 
-Three implementations:
+Two implementations:
 
 * :class:`SerialBackend` -- in-process, one attempt at a time.  Crash
   faults raise :class:`~repro.faults.injector.InjectedCrash` instead of
   killing the process (see :func:`~repro.faults.injector.inline_execution`),
-  so retry schedules replay identically to the pooled backends.
-* :class:`ProcessPoolBackend` -- one ``ProcessPoolExecutor``, the
-  classic single fault domain: a worker crash requeues everything in
-  flight.
-* :class:`WorkStealingBackend` -- several independent pools ("shards"),
-  each its own fault domain.  Shards pull work from the scheduler's
-  shared ready queue as their slots free up (``submit`` routes each
-  attempt to the least-loaded shard), so an idle shard steals whatever
-  work exists rather than being bound to a static partition -- and a
-  crash or hung-task reclaim only requeues that shard's attempts.
-
-Backends are process-local today; the protocol is the seam for remote
-(SSH/queue) execution later -- ``domain_of`` becomes the remote host.
+  so retry schedules replay identically to the pooled backend.
+* :class:`ProcessPoolBackend` -- one ``ProcessPoolExecutor``: a worker
+  crash requeues everything in flight.
 """
 
 from __future__ import annotations
@@ -42,28 +28,27 @@ from __future__ import annotations
 import abc
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Tuple, Union
 
 from repro.faults.injector import inline_execution
 
 
 class BackendBrokenError(RuntimeError):
-    """``submit`` found its target fault domain already broken.
+    """``submit`` found the backend's workers already broken.
 
-    The scheduler reacts exactly as if an in-flight future of that
-    domain had raised ``BrokenProcessPool``: requeue the unsubmitted
-    task (no retry charged -- it never ran), drain the domain, and call
+    The scheduler reacts exactly as if an in-flight future had raised
+    ``BrokenProcessPool``: requeue the unsubmitted task (no retry
+    charged -- it never ran), drain everything in flight, and call
     :meth:`ExecutorBackend.recover`.
     """
 
-    def __init__(self, domain: int, cause: BaseException) -> None:
-        super().__init__(f"executor domain {domain} is broken: {cause!r}")
-        self.domain = domain
+    def __init__(self, cause: BaseException) -> None:
+        super().__init__(f"executor backend is broken: {cause!r}")
         self.cause = cause
 
 
 class ExecutorBackend(abc.ABC):
-    """Where fan-out attempts execute, carved into fault domains."""
+    """Where fan-out attempts execute; one fault domain."""
 
     name: str = "abstract"
 
@@ -76,19 +61,12 @@ class ExecutorBackend(abc.ABC):
     def submit(
         self, fn: Callable[..., Any], args: Tuple[Any, ...]
     ) -> "Future[Any]":
-        """Start one attempt; raise :class:`BackendBrokenError` if its
-        fault domain is already broken."""
+        """Start one attempt; raise :class:`BackendBrokenError` if the
+        workers are already broken."""
 
     @abc.abstractmethod
-    def domain_of(self, future: "Future[Any]") -> int:
-        """The fault domain the attempt behind ``future`` runs in."""
-
-    @abc.abstractmethod
-    def recover(self, domain: int) -> None:
-        """Tear down and rebuild one fault domain after a failure."""
-
-    def release(self, future: "Future[Any]") -> None:
-        """The scheduler stopped tracking ``future`` (harvested/drained)."""
+    def recover(self) -> None:
+        """Tear down and rebuild the workers after a failure."""
 
     @abc.abstractmethod
     def shutdown(self) -> None:
@@ -99,8 +77,8 @@ class SerialBackend(ExecutorBackend):
     """In-process execution: ``submit`` runs the attempt synchronously.
 
     The returned future is already resolved.  There is no worker
-    process to lose, so the single domain never breaks and ``recover``
-    is unreachable; injected crash faults surface as
+    process to lose, so it never breaks and ``recover`` is unreachable;
+    injected crash faults surface as
     :class:`~repro.faults.injector.InjectedCrash` exceptions and flow
     through the ordinary retry path.
     """
@@ -124,18 +102,15 @@ class SerialBackend(ExecutorBackend):
             future.set_result(value)
         return future
 
-    def domain_of(self, future: "Future[Any]") -> int:
-        return 0
-
-    def recover(self, domain: int) -> None:
-        raise AssertionError("the in-process serial domain cannot break")
+    def recover(self) -> None:
+        raise AssertionError("the in-process serial backend cannot break")
 
     def shutdown(self) -> None:
         pass
 
 
 class ProcessPoolBackend(ExecutorBackend):
-    """One local ``ProcessPoolExecutor``; a single fault domain."""
+    """One local ``ProcessPoolExecutor``."""
 
     name = "process-pool"
 
@@ -155,80 +130,13 @@ class ProcessPoolBackend(ExecutorBackend):
         try:
             return self._pool.submit(fn, *args)
         except BrokenProcessPool as error:
-            raise BackendBrokenError(0, error) from error
+            raise BackendBrokenError(error) from error
 
-    def domain_of(self, future: "Future[Any]") -> int:
-        return 0
-
-    def recover(self, domain: int) -> None:
+    def recover(self) -> None:
         self._pool = _rebuild_pool(self._pool, self.jobs)
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-class WorkStealingBackend(ExecutorBackend):
-    """Several independent process pools, each its own fault domain.
-
-    ``submit`` routes each attempt to the least-loaded shard (lowest
-    index on ties, so routing is deterministic given the same load
-    sequence); shards therefore drain the scheduler's shared ready
-    queue at their own pace instead of owning a static slice of it.
-    A ``BrokenProcessPool`` or hung-task reclaim in one shard leaves
-    the other shards' in-flight attempts untouched.
-    """
-
-    name = "work-stealing"
-
-    def __init__(self, shards: int, jobs_per_shard: int) -> None:
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        if jobs_per_shard < 1:
-            raise ValueError("jobs_per_shard must be at least 1")
-        self.shards = shards
-        self.jobs_per_shard = jobs_per_shard
-        self._pools: List[ProcessPoolExecutor] = [
-            ProcessPoolExecutor(max_workers=jobs_per_shard)
-            for _ in range(shards)
-        ]
-        self._load: List[int] = [0] * shards
-        self._shard_of: Dict["Future[Any]", int] = {}
-
-    @property
-    def capacity(self) -> int:
-        return self.shards * self.jobs_per_shard
-
-    def _pick_shard(self) -> int:
-        return min(range(self.shards), key=lambda i: (self._load[i], i))
-
-    def submit(
-        self, fn: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> "Future[Any]":
-        shard = self._pick_shard()
-        try:
-            future = self._pools[shard].submit(fn, *args)
-        except BrokenProcessPool as error:
-            raise BackendBrokenError(shard, error) from error
-        self._load[shard] += 1
-        self._shard_of[future] = shard
-        return future
-
-    def domain_of(self, future: "Future[Any]") -> int:
-        return self._shard_of[future]
-
-    def release(self, future: "Future[Any]") -> None:
-        shard = self._shard_of.pop(future, None)
-        if shard is not None:
-            self._load[shard] -= 1
-
-    def recover(self, domain: int) -> None:
-        self._pools[domain] = _rebuild_pool(
-            self._pools[domain], self.jobs_per_shard
-        )
-
-    def shutdown(self) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _rebuild_pool(
@@ -248,23 +156,19 @@ def _rebuild_pool(
     return ProcessPoolExecutor(max_workers=jobs)
 
 
-BACKEND_NAMES = ("serial", "process-pool", "work-stealing")
-"""Accepted ``make_backend`` spec strings (aliases: pool, stealing)."""
+BACKEND_NAMES = ("serial", "process-pool")
+"""Accepted ``make_backend`` spec strings (alias: pool)."""
 
 
 def make_backend(
-    spec: Union[None, str, ExecutorBackend],
-    jobs: int,
-    shards: Optional[int] = None,
+    spec: Union[None, str, ExecutorBackend], jobs: int
 ) -> ExecutorBackend:
     """Resolve a backend spec to a live :class:`ExecutorBackend`.
 
     ``None`` keeps the historical behaviour (one local process pool of
     ``jobs`` workers).  A string picks a named backend; an instance is
     returned as-is (the caller-built backend is still shut down by
-    ``run_fanout``, which owns whatever it schedules on).  For
-    ``work-stealing``, ``shards`` defaults to 2 when ``jobs`` allows,
-    and ``jobs`` total workers are split evenly across shards.
+    ``run_fanout``, which owns whatever it schedules on).
     """
     if isinstance(spec, ExecutorBackend):
         return spec
@@ -272,11 +176,6 @@ def make_backend(
         return ProcessPoolBackend(jobs)
     if spec == "serial":
         return SerialBackend()
-    if spec in ("work-stealing", "stealing"):
-        if shards is None or shards < 1:
-            shards = 2 if jobs >= 2 else 1
-        jobs_per_shard = max(1, (jobs + shards - 1) // shards)
-        return WorkStealingBackend(shards, jobs_per_shard)
     raise ValueError(
         f"unknown executor backend {spec!r}; expected one of {BACKEND_NAMES}"
     )

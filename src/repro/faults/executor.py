@@ -2,26 +2,23 @@
 
 :func:`run_fanout` replaces bare ``ProcessPoolExecutor.map`` for batch
 work whose individual points may fail.  Attempts execute on a pluggable
-:class:`~repro.faults.backends.ExecutorBackend` (in-process serial, one
-local process pool, or several work-stealing pool shards); per-task
-``submit`` scheduling keeps at most ``backend.capacity`` attempts in
-flight and survives the three failure shapes large batch sweeps
-actually hit:
+:class:`~repro.faults.backends.ExecutorBackend` (in-process serial or
+one local process pool); per-task ``submit`` scheduling keeps at most
+``backend.capacity`` attempts in flight and survives the three failure
+shapes large batch sweeps actually hit:
 
 * a task attempt **raises** -- requeued with exponential backoff and
   deterministic jitter until its :class:`RetryPolicy` budget runs out.
   Backoff is a per-task *not-before deadline* checked by the top-up
   loop, never a scheduler sleep: other tasks keep submitting and
   harvesting while one task waits out its delay;
-* a worker process **dies** (``BrokenProcessPool``) -- only the broken
-  **fault domain** (the affected pool shard) is rebuilt, and only its
-  in-flight keys are requeued (the dead worker cannot be identified
-  within the domain, so all of the domain's attempts are charged a
-  retry);
+* a worker process **dies** (``BrokenProcessPool``) -- the pool is
+  rebuilt and every in-flight key is requeued (the dead worker cannot
+  be identified, so all in-flight attempts are charged a retry);
 * a task **hangs** past ``task_timeout`` -- running attempts cannot be
-  cancelled, so the overdue attempt's domain is torn down and rebuilt.
-  The overdue keys are charged a timeout; same-domain **bystanders**
-  are requeued at the same attempt index (replaying identical fault
+  cancelled, so the pool is torn down and rebuilt.  The overdue keys
+  are charged a timeout; the other in-flight **bystanders** are
+  requeued at the same attempt index (replaying identical fault
   decisions) and tracked in ``TaskReport.bystander_requeues`` -- never
   charged a retry, because they did not fail.
 
@@ -172,28 +169,23 @@ def run_fanout(
         else:
             state.outcome = RunOutcome.FAILED
 
-    def recover_domain(domain: int, reason: str) -> None:
+    def recover(reason: str) -> None:
         report.pool_rebuilds += 1
-        obs.event("faults.pool_rebuild", reason=reason, domain=domain)
-        executor.recover(domain)
+        obs.event("faults.pool_rebuild", reason=reason)
+        executor.recover()
 
-    def drain_domain_as_broken(domain: int, error: BaseException) -> None:
-        """Every in-flight attempt of ``domain`` died with its pool."""
-        doomed = [
-            (future, entry)
-            for future, entry in in_flight.items()
-            if executor.domain_of(future) == domain
-        ]
-        for future, entry in doomed:
-            del in_flight[future]
-            executor.release(future)
+    def drain_as_broken(error: BaseException) -> None:
+        """Every in-flight attempt died with the pool."""
+        doomed = list(in_flight.values())
+        in_flight.clear()
+        for entry in doomed:
             handle_failure(entry.task, entry.attempt, error)
 
     try:
         with obs.span(phase, tasks=len(tasks), jobs=jobs) as phase_span:
             while ready or in_flight:
                 # Top up: at most ``capacity`` attempts in flight, so a
-                # domain breakage penalizes a bounded number of
+                # pool breakage penalizes a bounded number of
                 # bystanders.  Entries still inside their backoff window
                 # are set aside, not submitted and not waited on.
                 now = time.monotonic()
@@ -224,12 +216,8 @@ def run_fanout(
                     )
                 ready.extend(deferred)
                 if broken_on_submit is not None:
-                    drain_domain_as_broken(
-                        broken_on_submit.domain, broken_on_submit.cause
-                    )
-                    recover_domain(
-                        broken_on_submit.domain, "submit-on-broken-pool"
-                    )
+                    drain_as_broken(broken_on_submit.cause)
+                    recover("submit-on-broken-pool")
                     continue
                 if not in_flight:
                     if ready:
@@ -266,17 +254,15 @@ def run_fanout(
                     return_when=FIRST_COMPLETED,
                 )
 
-                broken_domains: Dict[int, BaseException] = {}
+                broken = False
                 for future in done:
                     entry_in = in_flight.pop(future)
-                    domain = executor.domain_of(future)
-                    executor.release(future)
                     state = report.tasks[entry_in.task.key]
                     try:
                         value = future.result()
                     except BrokenProcessPool as error:
                         handle_failure(entry_in.task, entry_in.attempt, error)
-                        broken_domains.setdefault(domain, error)
+                        broken = True
                     except Exception as error:
                         handle_failure(entry_in.task, entry_in.attempt, error)
                     else:
@@ -289,13 +275,11 @@ def run_fanout(
                             state.error = None
                         else:
                             state.outcome = RunOutcome.RETRIED
-                for domain in sorted(broken_domains):
-                    drain_domain_as_broken(
-                        domain,
-                        BrokenProcessPool("pool broke under concurrent tasks"),
+                if broken:
+                    drain_as_broken(
+                        BrokenProcessPool("pool broke under concurrent tasks")
                     )
-                    recover_domain(domain, "broken-process-pool")
-                if broken_domains:
+                    recover("broken-process-pool")
                     continue
 
                 if task_timeout is not None and in_flight:
@@ -311,20 +295,13 @@ def run_fanout(
                         for future, entry_in in in_flight.items()
                         if now - entry_in.started >= task_timeout
                     }
-                    for domain in sorted(
-                        {executor.domain_of(future) for future in overdue}
-                    ):
+                    if overdue:
                         # A running attempt cannot be cancelled; the
-                        # only way to reclaim the worker is to kill its
-                        # domain's pool.  Other domains keep running.
-                        stranded = [
-                            (future, entry_in)
-                            for future, entry_in in in_flight.items()
-                            if executor.domain_of(future) == domain
-                        ]
+                        # only way to reclaim the worker is to kill the
+                        # pool, stranding everything in flight.
+                        stranded = list(in_flight.items())
+                        in_flight.clear()
                         for future, entry_in in stranded:
-                            del in_flight[future]
-                            executor.release(future)
                             state = report.tasks[entry_in.task.key]
                             if future in overdue:
                                 handle_failure(
@@ -346,7 +323,7 @@ def run_fanout(
                                 ready.append(
                                     _Ready(entry_in.task, entry_in.attempt)
                                 )
-                        recover_domain(domain, "task-timeout")
+                        recover("task-timeout")
 
             # Last resort: serial, in-process, injection suppressed.
             for task in degraded_queue:

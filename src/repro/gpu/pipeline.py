@@ -20,8 +20,8 @@ result -- falls out of the same replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -138,15 +138,14 @@ class FrameResult:
 class GpuPipeline:
     """Simulates whole frames given a texture path.
 
-    ``batched_replay`` (the default) drains all heap events ready at one
-    timestamp as a numpy chunk through ``path.serve_batch``; the scalar
-    one-event-at-a-time heap loop is retained as the oracle the batched
-    scheduler is parity-tested against (``tests/gpu/test_replay_batch``).
+    The texture replay drains all events ready at one timestamp as a
+    chunk through the path's replay session (:meth:`TexturePath.begin_replay`);
+    the one-event-at-a-time heap loop it is parity-tested against lives
+    in :mod:`repro.perf.oracles`.
     """
 
-    def __init__(self, config: GPUConfig, batched_replay: bool = True) -> None:
+    def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self.batched_replay = batched_replay
         self._partition_cache = None
 
     def assign_clusters(self, trace: FragmentTrace) -> np.ndarray:
@@ -205,7 +204,6 @@ class GpuPipeline:
         trace: FragmentTrace,
         expanded: Sequence[ExpandedRequest],
         path: TexturePath,
-        batched: Optional[bool] = None,
     ) -> tuple[float, LatencyHistogram, List[int]]:
         """Replay all texture requests through a texture path.
 
@@ -214,91 +212,18 @@ class GpuPipeline:
         completed (finite latency-hiding depth).  Returns the texture
         makespan, the latency histogram, and per-cluster fragment counts.
 
-        ``batched=None`` defers to the pipeline's ``batched_replay``
-        default; the batched and scalar schedulers are bit-identical.
-        """
-        if batched is None:
-            batched = self.batched_replay
-        if batched:
-            return self._replay_batched(trace, expanded, path)
-        return self._replay_scalar(trace, expanded, path)
-
-    def _replay_scalar(
-        self,
-        trace: FragmentTrace,
-        expanded: Sequence[ExpandedRequest],
-        path: TexturePath,
-    ) -> tuple[float, LatencyHistogram, List[int]]:
-        """One-event-at-a-time heap replay: the scheduling oracle."""
-        import heapq
-
-        config = self.config
-        histogram = LatencyHistogram("texture_latency")
-        depth = config.max_inflight_texture_requests
-        makespan = 0.0
-        per_cluster, fragments_per_cluster = self._partition(trace)
-
-        # Event-ordered replay: always serve the cluster whose next
-        # request issues earliest, so shared resources (L2 port, links,
-        # memory channels) observe arrivals in simulated-time order.
-        cluster_clock = [0.0] * config.num_clusters
-        cursor = [0] * config.num_clusters
-        inflight: List[List[float]] = [[] for _ in range(config.num_clusters)]
-
-        def next_issue(cluster: int) -> float:
-            issue = cluster_clock[cluster]
-            window = inflight[cluster]
-            if len(window) >= depth and window[-depth] > issue:
-                issue = window[-depth]
-            return issue
-
-        heap: List[tuple[float, int]] = []
-        for cluster in range(config.num_clusters):
-            if per_cluster[cluster]:
-                heapq.heappush(heap, (next_issue(cluster), cluster))
-
-        while heap:  # repro: noqa(REP400) -- scalar scheduling oracle: the batched per-timestamp drain in _replay_batched is parity-tested against exactly this loop
-            issue, cluster = heapq.heappop(heap)
-            current = next_issue(cluster)
-            if current > issue:
-                # Window state changed since this entry was pushed.
-                heapq.heappush(heap, (current, cluster))
-                continue
-            expansion = expanded[per_cluster[cluster][cursor[cluster]]]
-            cursor[cluster] += 1
-            completion = path.serve(cluster, issue, expansion)
-            if completion < issue:
-                raise RuntimeError("texture path completed before issue")
-            histogram.observe(completion - issue)
-            window = inflight[cluster]
-            window.append(completion)
-            if len(window) > depth:
-                del window[0]
-            cluster_clock[cluster] = issue + 1.0
-            if completion > makespan:
-                makespan = completion
-            if cursor[cluster] < len(per_cluster[cluster]):
-                heapq.heappush(heap, (next_issue(cluster), cluster))
-
-        return makespan, histogram, fragments_per_cluster
-
-    def _replay_batched(
-        self,
-        trace: FragmentTrace,
-        expanded: Sequence[ExpandedRequest],
-        path: TexturePath,
-    ) -> tuple[float, LatencyHistogram, List[int]]:
-        """Per-timestamp chunked replay, bit-identical to the oracle.
-
-        All events ready at the minimum next-issue time are drained as
-        one chunk through the path's replay session.  Why chunking
-        preserves the heap schedule: serving cluster ``c`` at time ``t``
-        mutates only ``c``'s own clock and inflight window, so the
-        ready set at ``t`` is fixed the moment ``t`` becomes the
-        minimum next-issue time.  The scalar heap pops equal-time
-        entries in ascending cluster order; draining the ready set in
-        ascending cluster order therefore issues the exact same
-        (time, cluster) service sequence to the shared resources.
+        Event order is the one-event-at-a-time heap schedule of
+        :func:`repro.perf.oracles.replay_scalar` (always serve the
+        cluster whose next request issues earliest, ties in ascending
+        cluster order, so shared resources -- L2 port, links, memory
+        channels -- observe arrivals in simulated-time order), drained
+        per timestamp: all events ready at the minimum next-issue time
+        go as one chunk through the path's replay session.  Why
+        chunking preserves the heap schedule: serving cluster ``c`` at
+        time ``t`` mutates only ``c``'s own clock and inflight window,
+        so the ready set at ``t`` is fixed the moment ``t`` becomes the
+        minimum next-issue time, and draining it in ascending cluster
+        order issues the exact same (time, cluster) service sequence.
 
         The vectorization lives where the data is wide, not in the
         (inherently sequential, 16-entry) scheduler state: per-request

@@ -1,9 +1,11 @@
 """Timing benchmarks: batched sampler, rasterizer, and cached runner.
 
-Three benchmarks, written as machine-readable JSON at the repo root:
+Each benchmark is written as machine-readable JSON at the repo root.
+The scalar rasterizer and replay baselines are the reference
+implementations in :mod:`repro.perf.oracles`:
 
 ``BENCH_sampling.json``
-    Per workload: trace generation (vectorized vs scalar rasterizer) and
+    Per workload: trace generation (SoA rasterizer vs the scalar oracle) and
     the exact/isotropic sampler paths (batched kernels vs the scalar
     reference), with a bit-identity check on every color produced.
 ``BENCH_runner.json``
@@ -16,28 +18,19 @@ Three benchmarks, written as machine-readable JSON at the repo root:
     ``REPRO_TRACE`` off.  The wrapped path must stay within noise of
     the bare one (the zero-overhead-when-disabled contract).
 ``BENCH_frame.json``
-    The whole-frame hot path per workload: trace generation (vectorized
-    SoA rasterizer vs the scalar AoS oracle) and the texture replay
+    The whole-frame hot path per workload: trace generation (SoA
+    rasterizer vs the scalar AoS oracle) and the texture replay
     (batched per-timestamp drain vs the scalar heap scheduler), timed
     cold (warm-up replay against empty caches) and warm (measured replay
     against warmed caches), with an end-result identity check on the
     makespan, latency histogram, per-cluster counts, and traffic.
 ``BENCH_sweep.json``
     A tiny sampled design-space sweep (:mod:`repro.experiments.sweep`)
-    executed once per executor backend (serial, process-pool,
-    work-stealing), each against its own empty disk cache, with a
-    bit-identity check over every sweep point's result signature.  The
-    identity check always gates: a divergent backend is a scheduler
-    bug, never a performance trade-off.
-``BENCH_lint.json``
-    The static-analysis pass (four rule families over the whole repo)
-    serial vs fanned out over :func:`repro.faults.run_fanout`, with a
-    findings-identity check between the two modes -- reported per family
-    and separately for the REP400 vectorize engine, whose hot-path call
-    graph every pool worker must rebuild identically.  The identity check
-    always gates; the speedup gates only when ``--lint-min-speedup`` is
-    set above zero, because each pool worker must replay the cross-file
-    ``prepare`` and single-core CI boxes therefore cannot win.
+    executed once per executor backend (serial, process-pool), each
+    against its own empty disk cache, with a bit-identity check over
+    every sweep point's result signature.  The identity check always
+    gates: a divergent backend is a scheduler bug, never a performance
+    trade-off.
 
 All numbers are host wall-clock seconds -- the speed of the
 reproduction itself, not of the modelled hardware.
@@ -57,7 +50,6 @@ import numpy as np
 BENCH_SAMPLING_FILENAME = "BENCH_sampling.json"
 BENCH_RUNNER_FILENAME = "BENCH_runner.json"
 BENCH_TRACING_FILENAME = "BENCH_tracing.json"
-BENCH_LINT_FILENAME = "BENCH_lint.json"
 BENCH_FRAME_FILENAME = "BENCH_frame.json"
 BENCH_SWEEP_FILENAME = "BENCH_sweep.json"
 
@@ -88,6 +80,7 @@ def bench_sampling(
     """
     from repro.experiments.cache import source_version
     from repro.experiments.runner import FAST_WORKLOADS
+    from repro.perf.oracles import trace_only_scalar
     from repro.texture.batch import BatchSampler, RequestBatch
     from repro.texture.sampling import anisotropic_sample, trilinear_sample
     from repro.workloads import workload_by_name
@@ -101,9 +94,10 @@ def bench_sampling(
         if include_raster:
             built = workload.build()
             renderer = workload.make_renderer()
-            renderer.rasterizer.vectorized = False
             started = time.perf_counter()
-            scalar_output = renderer.trace_only(built.scene, built.camera)
+            scalar_output = trace_only_scalar(
+                renderer, built.scene, built.camera
+            )
             scalar_raster_seconds = time.perf_counter() - started
             renderer = workload.make_renderer()
             started = time.perf_counter()
@@ -191,7 +185,7 @@ def bench_frame(
     workload_names: Optional[Sequence[str]] = None,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Time the whole-frame hot path: trace + replay, scalar vs vectorized.
+    """Time the whole-frame hot path: trace + replay, oracle vs batched.
 
     Per workload, the two phases the per-fragment/per-event scalar code
     used to dominate are each timed both ways (best of ``repeats``):
@@ -217,7 +211,15 @@ def bench_frame(
     from repro.experiments.runner import FAST_WORKLOADS
     from repro.gpu.pipeline import GpuPipeline
     from repro.memory.traffic import TrafficMeter
+    from repro.perf.oracles import replay_scalar, trace_only_scalar
+    from repro.render.renderer import Renderer
     from repro.workloads import workload_by_name
+
+    trace_fns = {"scalar": trace_only_scalar, "batched": Renderer.trace_only}
+    replay_fns = {
+        "scalar": replay_scalar,
+        "batched": GpuPipeline.replay_texture_stream,
+    }
 
     def replay_snapshot(makespan, histogram, counts, traffic):
         return {
@@ -242,9 +244,10 @@ def bench_frame(
         for _ in range(rounds):
             for mode in ("scalar", "batched"):
                 renderer = workload.make_renderer()
-                renderer.rasterizer.vectorized = mode == "batched"
                 started = time.perf_counter()
-                outputs[mode] = renderer.trace_only(built.scene, built.camera)
+                outputs[mode] = trace_fns[mode](
+                    renderer, built.scene, built.camera
+                )
                 trace_seconds[mode] = min(
                     trace_seconds[mode], time.perf_counter() - started
                 )
@@ -262,20 +265,20 @@ def bench_frame(
         snapshots: Dict[str, Any] = {}
         for _ in range(rounds):
             for mode in ("scalar", "batched"):
-                batched = mode == "batched"
+                replay = replay_fns[mode]
                 traffic = TrafficMeter()
                 path = make_texture_path(config, traffic)
-                pipeline = GpuPipeline(config.gpu, batched_replay=batched)
+                pipeline = GpuPipeline(config.gpu)
                 started = time.perf_counter()
-                pipeline.replay_texture_stream(trace, expanded, path)
+                replay(pipeline, trace, expanded, path)
                 cold_seconds[mode] = min(
                     cold_seconds[mode], time.perf_counter() - started
                 )
                 path.reset_for_measurement()
                 traffic.reset()
                 started = time.perf_counter()
-                makespan, histogram, counts = pipeline.replay_texture_stream(
-                    trace, expanded, path
+                makespan, histogram, counts = replay(
+                    pipeline, trace, expanded, path
                 )
                 warm_seconds[mode] = min(
                     warm_seconds[mode], time.perf_counter() - started
@@ -469,79 +472,6 @@ def bench_tracing(repeats: int = 7, calls: int = 400) -> Dict[str, Any]:
     }
 
 
-def bench_lint(
-    targets: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    repeats: int = 2,
-) -> Dict[str, Any]:
-    """Time the full lint (serial vs ``run_fanout`` pool) over the repo.
-
-    The parallel path chunks the fileset over the fault-tolerant
-    scheduler; every worker replays the cross-file ``prepare`` before
-    checking its chunk, so the serial/parallel findings lists must be
-    byte-identical -- that identity is the primary result here, with the
-    wall-clock speedup reported alongside it.  ``jobs`` defaults to the
-    core count capped at 4 (forced to at least 2 so the pool path is
-    exercised even on one core).
-    """
-    import os
-
-    from repro.analysis.linter import lint_paths
-    from repro.experiments.cache import source_version
-
-    if targets is None:
-        targets = [name for name in ("src", "benchmarks", "tests", "examples")
-                   if Path(name).exists()]
-    paths = [Path(name) for name in targets]
-    if jobs is None:
-        jobs = max(2, min(4, os.cpu_count() or 1))
-
-    serial_seconds = float("inf")
-    parallel_seconds = float("inf")
-    serial_findings: List[Any] = []
-    parallel_findings: List[Any] = []
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        serial_findings = lint_paths(paths)
-        serial_seconds = min(serial_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        parallel_findings = lint_paths(paths, jobs=jobs)
-        parallel_seconds = min(
-            parallel_seconds, time.perf_counter() - started
-        )
-
-    # Per-family counts (REP1 counters, REP2 units, REP3 determinism,
-    # REP4 vectorization) plus a dedicated identity check for the REP4
-    # engine: its prepare() builds the hot-path call graph, which every
-    # pool worker must reconstruct identically from its chunk's shared
-    # source snapshot.
-    by_family: Dict[str, int] = {}
-    for finding in serial_findings:
-        family = finding.rule_id[:4]
-        by_family[family] = by_family.get(family, 0) + 1
-    serial_rep4 = [f for f in serial_findings if f.rule_id.startswith("REP4")]
-    parallel_rep4 = [
-        f for f in parallel_findings if f.rule_id.startswith("REP4")
-    ]
-
-    return {
-        "schema": "repro-bench-lint/1",
-        "source_version": source_version(),
-        "targets": [str(path) for path in paths],
-        "jobs": jobs,
-        "repeats": repeats,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup_parallel_vs_serial": _speedup(
-            serial_seconds, parallel_seconds
-        ),
-        "findings": len(serial_findings),
-        "findings_by_family": dict(sorted(by_family.items())),
-        "identical_findings": serial_findings == parallel_findings,
-        "identical_rep4_findings": serial_rep4 == parallel_rep4,
-    }
-
-
 def bench_sweep(
     workload_names: Optional[Sequence[str]] = None,
     points: int = 8,
@@ -624,7 +554,6 @@ def run_bench(
     fast: bool = False,
     jobs: Optional[int] = None,
     min_speedup: float = 1.0,
-    lint_min_speedup: float = 0.0,
     frame_min_speedup: float = 1.0,
     output_dir: str = ".",
 ) -> int:
@@ -728,22 +657,6 @@ def run_bench(
         )
     print(f"wrote {sweep_path}")
 
-    lint = bench_lint(jobs=jobs)
-    lint_path = out / BENCH_LINT_FILENAME
-    lint_path.write_text(json.dumps(lint, indent=2) + "\n")
-    families = ", ".join(
-        f"{family} {count}"
-        for family, count in lint["findings_by_family"].items()
-    ) or "clean"
-    print(
-        f"lint: serial {lint['serial_seconds']:.2f}s, "
-        f"parallel(jobs={lint['jobs']}) {lint['parallel_seconds']:.2f}s "
-        f"({lint['speedup_parallel_vs_serial']:.2f}x), "
-        f"identical findings: {lint['identical_findings']} "
-        f"(rep4: {lint['identical_rep4_findings']}; {families})"
-    )
-    print(f"wrote {lint_path}")
-
     if not summary["bit_identical"]:
         print("FAIL: batched sampler output is not bit-identical to scalar")
         return 1
@@ -755,7 +668,7 @@ def run_bench(
         return 1
     if not frame_summary["identical"]:
         print(
-            "FAIL: vectorized frame path is not bit-identical to the "
+            "FAIL: batched frame path is not bit-identical to the "
             "scalar oracle (trace requests or replay results differ)"
         )
         return 1
@@ -780,22 +693,6 @@ def run_bench(
         print(
             "FAIL: executor backends disagree on sweep results -- the "
             "scheduler leaked nondeterminism (see BENCH_sweep.json)"
-        )
-        return 1
-    if not lint["identical_findings"]:
-        print("FAIL: parallel lint findings differ from the serial run")
-        return 1
-    if not lint["identical_rep4_findings"]:
-        print(
-            "FAIL: REP400-series findings differ between serial and "
-            "parallel lint (hot-path call graph diverged across workers)"
-        )
-        return 1
-    if lint["speedup_parallel_vs_serial"] < lint_min_speedup:
-        print(
-            f"FAIL: parallel lint speedup "
-            f"{lint['speedup_parallel_vs_serial']:.2f}x below required "
-            f"{lint_min_speedup:.2f}x"
         )
         return 1
     return 0

@@ -1,0 +1,258 @@
+"""Scalar reference implementations of the batched hot stages.
+
+Every production stage has exactly one path; the per-element loops here
+are what those paths are parity-tested against (``tests/gpu``,
+``tests/texture``) and timed against (:mod:`repro.perf.bench`).  Nothing
+in the simulator imports this module, and no constructor option selects
+it.
+
+* :func:`replay_scalar` -- the one-event-at-a-time heap scheduler that
+  :meth:`GpuPipeline.replay_texture_stream` drains per timestamp;
+* :func:`rasterize_scalar` -- per-pixel fragment emission and
+  per-fragment footprints, the reference for the SoA
+  :class:`~repro.render.raster.FragmentBatch` stream;
+* :func:`trace_only_scalar` / :func:`render_scalar` -- whole frames
+  through the scalar rasterizer, with every fragment shaded by the
+  scalar samplers of :mod:`repro.texture.sampling`.
+
+Each oracle borrows the production object's configuration and shared
+setup (cluster partition, clipping and triangle scan, shading
+functions), so the only code that differs is the code under test.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import List, Sequence, Tuple
+
+from repro.core.expansion import ExpandedRequest
+from repro.core.paths import TexturePath
+from repro.gpu.pipeline import GpuPipeline
+from repro.render.camera import Camera
+from repro.render.framebuffer import Framebuffer
+from repro.render.raster import RasterFragment, Rasterizer, _TriangleScan
+from repro.render.renderer import (
+    RenderOutput,
+    Renderer,
+    SamplingMode,
+    _AngleTaggedParentStore,
+)
+from repro.render.scene import Scene
+from repro.sim.latency import LatencyHistogram
+from repro.texture.lod import camera_angle_from_normal, compute_footprint
+from repro.texture.requests import FragmentTrace, TextureRequest
+
+
+def replay_scalar(
+    pipeline: GpuPipeline,
+    trace: FragmentTrace,
+    expanded: Sequence[ExpandedRequest],
+    path: TexturePath,
+) -> Tuple[float, LatencyHistogram, List[int]]:
+    """One-event-at-a-time heap replay: the scheduling oracle.
+
+    Same contract and result as
+    :meth:`~repro.gpu.pipeline.GpuPipeline.replay_texture_stream`.
+    """
+    config = pipeline.config
+    histogram = LatencyHistogram("texture_latency")
+    depth = config.max_inflight_texture_requests
+    makespan = 0.0
+    per_cluster, fragments_per_cluster = pipeline._partition(trace)
+
+    # Event-ordered replay: always serve the cluster whose next
+    # request issues earliest, so shared resources (L2 port, links,
+    # memory channels) observe arrivals in simulated-time order.
+    cluster_clock = [0.0] * config.num_clusters
+    cursor = [0] * config.num_clusters
+    inflight: List[List[float]] = [[] for _ in range(config.num_clusters)]
+
+    def next_issue(cluster: int) -> float:
+        issue = cluster_clock[cluster]
+        window = inflight[cluster]
+        if len(window) >= depth and window[-depth] > issue:
+            issue = window[-depth]
+        return issue
+
+    heap: List[Tuple[float, int]] = []
+    for cluster in range(config.num_clusters):
+        if per_cluster[cluster]:
+            heapq.heappush(heap, (next_issue(cluster), cluster))
+
+    while heap:
+        issue, cluster = heapq.heappop(heap)
+        current = next_issue(cluster)
+        if current > issue:
+            # Window state changed since this entry was pushed.
+            heapq.heappush(heap, (current, cluster))
+            continue
+        expansion = expanded[per_cluster[cluster][cursor[cluster]]]
+        cursor[cluster] += 1
+        completion = path.serve(cluster, issue, expansion)
+        if completion < issue:
+            raise RuntimeError("texture path completed before issue")
+        histogram.observe(completion - issue)
+        window = inflight[cluster]
+        window.append(completion)
+        if len(window) > depth:
+            del window[0]
+        cluster_clock[cluster] = issue + 1.0
+        if completion > makespan:
+            makespan = completion
+        if cursor[cluster] < len(per_cluster[cluster]):
+            heapq.heappush(heap, (next_issue(cluster), cluster))
+
+    return makespan, histogram, fragments_per_cluster
+
+
+def rasterize_scalar(
+    rasterizer: Rasterizer,
+    scene: Scene,
+    camera: Camera,
+    framebuffer: Framebuffer,
+) -> List[Tuple[RasterFragment, TextureRequest]]:
+    """Per-pixel reference for :meth:`Rasterizer.rasterize_scene`.
+
+    Shares the clipping and triangle scan; emits, depth-tests and
+    builds each request one fragment at a time.  Updates
+    ``rasterizer.stats`` exactly as the batched path does.
+    """
+    results: List[Tuple[RasterFragment, TextureRequest]] = []
+    for scans in rasterizer._scan_scene(scene, camera, framebuffer):
+        fragments = [
+            fragment
+            for scan in scans
+            for fragment in _emit_fragments_scalar(
+                rasterizer, scan, camera, framebuffer
+            )
+        ]
+        if fragments:
+            rasterizer.stats.triangles_rasterized += 1
+        results.extend(
+            (fragment, _fragment_to_request(rasterizer, fragment))
+            for fragment in fragments
+        )
+    return results
+
+
+def _emit_fragments_scalar(
+    rasterizer: Rasterizer,
+    scan: _TriangleScan,
+    camera: Camera,
+    framebuffer: Framebuffer,
+) -> List[RasterFragment]:
+    """Reference per-pixel emission loop for ``Rasterizer._emit_fragments``."""
+    (rows, cols, bary0, bary1, bary2, denom, attrs_over_w, grad_b,
+     grad_denom_x, grad_denom_y, min_x, min_y, normal, texture_id) = scan
+    stats = rasterizer.stats
+    fragments: List[RasterFragment] = []
+    camera_position = camera.position
+    for row, col in zip(rows, cols):
+        b = (bary0[row, col], bary1[row, col], bary2[row, col])
+        d = denom[row, col]
+        if d <= 0:
+            continue
+        w_value = 1.0 / d
+        numerators = (
+            b[0] * attrs_over_w[0] + b[1] * attrs_over_w[1] + b[2] * attrs_over_w[2]
+        )
+        attrs = numerators * w_value
+        u, v = attrs[0], attrs[1]
+        world = attrs[2:5]
+
+        pixel_x = min_x + col
+        pixel_y = min_y + row
+        depth = w_value  # camera-space depth; smaller is closer
+        stats.fragments_generated += 1
+        if not framebuffer.depth_test(pixel_x, pixel_y, depth):
+            stats.fragments_early_z_killed += 1
+            continue
+        framebuffer.depth[pixel_y, pixel_x] = depth
+
+        # Analytic derivatives via the quotient rule.
+        grad_num_x = (
+            grad_b[0][0] * attrs_over_w[0]
+            + grad_b[1][0] * attrs_over_w[1]
+            + grad_b[2][0] * attrs_over_w[2]
+        )
+        grad_num_y = (
+            grad_b[0][1] * attrs_over_w[0]
+            + grad_b[1][1] * attrs_over_w[1]
+            + grad_b[2][1] * attrs_over_w[2]
+        )
+        dudx = (grad_num_x[0] - u * grad_denom_x) * w_value
+        dvdx = (grad_num_x[1] - v * grad_denom_x) * w_value
+        dudy = (grad_num_y[0] - u * grad_denom_y) * w_value
+        dvdy = (grad_num_y[1] - v * grad_denom_y) * w_value
+
+        view = camera_position - world
+        angle = camera_angle_from_normal(
+            normal[0], normal[1], normal[2], view[0], view[1], view[2]
+        )
+        fragments.append(
+            RasterFragment(
+                x=pixel_x,
+                y=pixel_y,
+                depth=depth,
+                u=u,
+                v=v,
+                dudx=dudx,
+                dvdx=dvdx,
+                dudy=dudy,
+                dvdy=dvdy,
+                camera_angle=angle,
+                texture_id=texture_id,
+            )
+        )
+    return fragments
+
+
+def _fragment_to_request(
+    rasterizer: Rasterizer, fragment: RasterFragment
+) -> TextureRequest:
+    """Per-fragment reference for ``Rasterizer.requests_from_batch``."""
+    footprint = compute_footprint(
+        fragment.dudx, fragment.dvdx, fragment.dudy, fragment.dvdy,
+        max_anisotropy=rasterizer.max_anisotropy,
+        lod_bias=rasterizer.lod_bias,
+    )
+    return TextureRequest(
+        pixel_x=fragment.x,
+        pixel_y=fragment.y,
+        texture_id=fragment.texture_id,
+        u=fragment.u,
+        v=fragment.v,
+        footprint=footprint,
+        camera_angle=fragment.camera_angle,
+        tile_x=fragment.x // rasterizer.tile_size,
+        tile_y=fragment.y // rasterizer.tile_size,
+    )
+
+
+def trace_only_scalar(
+    renderer: Renderer, scene: Scene, camera: Camera
+) -> RenderOutput:
+    """Reference for :meth:`Renderer.trace_only` via the scalar rasterizer."""
+    framebuffer = Framebuffer(renderer.width, renderer.height)
+    shaded = rasterize_scalar(renderer.rasterizer, scene, camera, framebuffer)
+    return renderer._output(framebuffer, [request for _, request in shaded])
+
+
+def render_scalar(
+    renderer: Renderer,
+    scene: Scene,
+    camera: Camera,
+    mode: SamplingMode = SamplingMode.EXACT,
+    angle_threshold: float = 0.0,
+) -> RenderOutput:
+    """Reference for :meth:`Renderer.render`: scalar rasterizer, and every
+    fragment shaded one at a time by :mod:`repro.texture.sampling`."""
+    framebuffer = Framebuffer(renderer.width, renderer.height)
+    shaded = rasterize_scalar(renderer.rasterizer, scene, camera, framebuffer)
+    parent_store = None
+    if mode is SamplingMode.ATFIM:
+        parent_store = _AngleTaggedParentStore(threshold=angle_threshold)
+    renderer._shade_each(scene, shaded, mode, parent_store, framebuffer)
+    return renderer._output(
+        framebuffer, [request for _, request in shaded], parent_store
+    )

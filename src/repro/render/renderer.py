@@ -38,7 +38,7 @@ import numpy as np
 from repro import obs
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
-from repro.render.raster import Rasterizer, RasterStats
+from repro.render.raster import RasterFragment, Rasterizer, RasterStats
 from repro.render.scene import Scene
 from repro.texture.lod import quantize_angle
 from repro.texture.requests import FragmentTrace, TextureRequest
@@ -124,14 +124,9 @@ class Renderer:
         tile_size: int = 16,
         max_anisotropy: int = 16,
         lod_bias: float = 0.0,
-        batch_sampling: bool = True,
     ) -> None:
         self.width = width
         self.height = height
-        self.batch_sampling = batch_sampling
-        """Shade EXACT/ISOTROPIC frames through the vectorised kernels of
-        :mod:`repro.texture.batch` (bit-identical to the scalar path;
-        disable to force the scalar oracle)."""
         self.rasterizer = Rasterizer(
             tile_size=tile_size, max_anisotropy=max_anisotropy, lod_bias=lod_bias
         )
@@ -149,18 +144,7 @@ class Renderer:
             requests = self.rasterizer.trace_requests(
                 scene, camera, framebuffer
             )
-        trace = FragmentTrace(
-            width=self.width,
-            height=self.height,
-            requests=requests,
-            tile_size=self.rasterizer.tile_size,
-        )
-        return RenderOutput(
-            image=framebuffer.rgb_image(),
-            trace=trace,
-            raster_stats=self.rasterizer.stats,
-            framebuffer=framebuffer,
-        )
+        return self._output(framebuffer, requests)
 
     def render(
         self,
@@ -171,8 +155,10 @@ class Renderer:
     ) -> RenderOutput:
         """Rasterize and shade every visible fragment.
 
-        ``angle_threshold`` (radians) only applies to
-        :attr:`SamplingMode.ATFIM`.
+        EXACT and ISOTROPIC frames shade through the vectorised kernels
+        of :mod:`repro.texture.batch`; REORDERED and ATFIM shade one
+        fragment at a time.  ``angle_threshold`` (radians) only applies
+        to :attr:`SamplingMode.ATFIM`.
         """
         with obs.span(
             "render.render",
@@ -192,21 +178,25 @@ class Renderer:
 
             requests: List[TextureRequest] = [request for _, request in shaded]
             with obs.span("render.shade", fragments=len(shaded)):
-                batchable = mode in (SamplingMode.EXACT, SamplingMode.ISOTROPIC)
-                if batchable and self.batch_sampling and shaded:
+                if mode in (SamplingMode.EXACT, SamplingMode.ISOTROPIC):
                     colors = self._shade_batch(scene, requests, mode)
                     for index, (fragment, _request) in enumerate(shaded):
                         framebuffer.write(
                             fragment.x, fragment.y, fragment.depth, colors[index]
                         )
                 else:
-                    for fragment, request in shaded:
-                        chain = scene.mipmap_chain(request.texture_id)
-                        color = self._shade(chain, request, mode, parent_store)
-                        framebuffer.write(
-                            fragment.x, fragment.y, fragment.depth, color
-                        )
+                    self._shade_each(
+                        scene, shaded, mode, parent_store, framebuffer
+                    )
+        return self._output(framebuffer, requests, parent_store)
 
+    def _output(
+        self,
+        framebuffer: Framebuffer,
+        requests: List[TextureRequest],
+        parent_store: Optional[_AngleTaggedParentStore] = None,
+    ) -> RenderOutput:
+        """Package a finished frame: image, request trace, statistics."""
         trace = FragmentTrace(
             width=self.width,
             height=self.height,
@@ -223,6 +213,21 @@ class Renderer:
             output.parent_recalculations = parent_store.recalculations
             output.parent_reuses = parent_store.reuses
         return output
+
+    def _shade_each(
+        self,
+        scene: Scene,
+        shaded: List[Tuple[RasterFragment, TextureRequest]],
+        mode: SamplingMode,
+        parent_store: Optional[_AngleTaggedParentStore],
+        framebuffer: Framebuffer,
+    ) -> None:
+        """Shade and write fragments one at a time, in submission order
+        (the order A-TFIM's parent reuse depends on)."""
+        for fragment, request in shaded:
+            chain = scene.mipmap_chain(request.texture_id)
+            color = self._shade(chain, request, mode, parent_store)
+            framebuffer.write(fragment.x, fragment.y, fragment.depth, color)
 
     def _shade_batch(
         self,

@@ -25,7 +25,7 @@ from repro.analysis.determinism import (
     static_determinism_attestation,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.linter import lint_paths, lint_source, lint_sources
+from repro.analysis.linter import lint_source, lint_sources
 from repro.analysis.rules import rule_catalog, rule_ids
 from repro.analysis.sarif import findings_to_sarif
 
@@ -430,14 +430,6 @@ class TestSarifRoundTrip:
             index = result["ruleIndex"]
             assert run["tool"]["driver"]["rules"][index]["id"] \
                 == result["ruleId"]
-
-
-class TestParallelLint:
-    def test_parallel_findings_identical_to_serial(self):
-        target = REPO_ROOT / "src" / "repro" / "analysis"
-        serial = lint_paths([target])
-        fanned = lint_paths([target], jobs=2)
-        assert fanned == serial
 
 
 class TestAttestation:

@@ -140,6 +140,19 @@ class TestRunMany:
         assert set(again) == set(KEYS)
         assert runner.memo_hits == hits_before + len(KEYS)
 
+    def test_disk_counters_include_worker_cache_traffic(self, tmp_path):
+        # Pool workers load and store through their own DiskCache;
+        # cache_stats() must count that traffic, not only the parent's.
+        cold = ExperimentRunner([WORKLOAD], cache_dir=tmp_path)
+        cold.run_many(KEYS, jobs=2)
+        assert cold.cache_stats().disk_stores >= len(KEYS)
+
+        warm = ExperimentRunner([WORKLOAD], cache_dir=tmp_path)
+        warm.run_many(KEYS, jobs=2)
+        stats = warm.cache_stats()
+        assert stats.disk_hits >= len(KEYS)
+        assert stats.disk_stores == 0
+
     def test_parallel_without_disk_cache_uses_scratch(self, serial_results):
         runner = ExperimentRunner([WORKLOAD])
         assert runner.disk_cache is None

@@ -240,7 +240,7 @@ class _HangFirstBackend(ExecutorBackend):
 
     def __init__(self):
         self.submissions = 0
-        self.recoveries = []
+        self.recoveries = 0
 
     @property
     def capacity(self):
@@ -253,11 +253,8 @@ class _HangFirstBackend(ExecutorBackend):
             future.set_result(fn(*args))
         return future  # the first attempt hangs forever
 
-    def domain_of(self, future):
-        return 0
-
-    def recover(self, domain):
-        self.recoveries.append(domain)
+    def recover(self):
+        self.recoveries += 1
 
     def shutdown(self):
         pass
@@ -313,7 +310,7 @@ class TestTimeoutBoundary:
         assert state.retries == 1
         assert state.attempts == 2
         assert report.pool_rebuilds == 1
-        assert backend.recoveries == [0]
+        assert backend.recoveries == 1
         # The reclaim happened on the boundary wake itself: the clock
         # advanced exactly one task_timeout, and no wait() call ever ran
         # with the degenerate 0.0 timeout the busy-spin produced.

@@ -1,8 +1,9 @@
 """Bit-identity of the batched replay scheduler against the scalar oracle.
 
-``GpuPipeline._replay_batched`` drains every heap event ready at one
-timestamp as a chunk through ``ReplaySession.serve_chunk``; the scalar
-one-event-at-a-time heap loop (``_replay_scalar``) is the oracle.  The
+``GpuPipeline.replay_texture_stream`` drains every heap event ready at
+one timestamp as a chunk through ``ReplaySession.serve_chunk``; the
+one-event-at-a-time heap loop ``repro.perf.oracles.replay_scalar`` is
+the oracle.  The
 contract is exact equality -- not approximate -- across every observable
 the replay produces: makespan, the latency histogram (total, count, max,
 buckets), per-cluster fragment counts, external memory traffic, unit
@@ -18,6 +19,7 @@ from repro.core.frontend import make_texture_path
 from repro.gpu.config import GPUConfig
 from repro.gpu.pipeline import GpuPipeline
 from repro.memory.traffic import TrafficMeter
+from repro.perf.oracles import replay_scalar
 from repro.render.renderer import Renderer
 from repro.texture.cache import CacheConfig
 from repro.texture.requests import FragmentTrace
@@ -78,10 +80,11 @@ def replay(design, depth, trace, expanded, batched):
     traffic = TrafficMeter()
     path = make_texture_path(DesignConfig(design=design, gpu=gpu), traffic)
     pipeline = GpuPipeline(gpu)
-    makespan, histogram, per_cluster = pipeline.replay_texture_stream(
-        trace, expanded, path, batched=batched
-    )
-    return observe(path, traffic, makespan, histogram, per_cluster)
+    if batched:
+        result = pipeline.replay_texture_stream(trace, expanded, path)
+    else:
+        result = replay_scalar(pipeline, trace, expanded, path)
+    return observe(path, traffic, *result)
 
 
 def pick_expansions(design, frame):
@@ -97,22 +100,6 @@ class TestBitIdentity:
         scalar = replay(design, depth, frame["trace"], expanded, False)
         batched = replay(design, depth, frame["trace"], expanded, True)
         assert batched == scalar
-
-    def test_batched_is_the_default(self, frame):
-        expanded = pick_expansions(Design.BASELINE, frame)
-        gpu = small_gpu(4)
-        traffic = TrafficMeter()
-        path = make_texture_path(
-            DesignConfig(design=Design.BASELINE, gpu=gpu), traffic
-        )
-        pipeline = GpuPipeline(gpu)
-        assert pipeline.batched_replay is True
-        default = observe(
-            path, traffic,
-            *pipeline.replay_texture_stream(frame["trace"], expanded, path),
-        )
-        explicit = replay(Design.BASELINE, 4, frame["trace"], expanded, True)
-        assert default == explicit
 
 
 class TestDegenerateStreams:

@@ -113,6 +113,7 @@ class TestJobRequest:
             (_payload(task_timeout=0), "positive"),
             (_payload(task_timeout="fast"), "number"),
             (_payload(priority="high"), "unknown request field"),
+            (_payload(backend="work-stealing"), "executor backend"),
         ],
     )
     def test_invalid_requests_rejected(self, payload, match):

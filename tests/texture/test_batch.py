@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.invariants import InvariantError, check_batch_scalar_parity
+from repro.perf.oracles import render_scalar, trace_only_scalar
 from repro.render.renderer import Renderer, SamplingMode
 from repro.texture.batch import (
     BatchFetchRecorder,
@@ -232,9 +233,8 @@ class TestVectorizedRaster:
     def test_fragments_identical_to_scalar_path(self):
         scene, camera = make_tiny_scene()
         scalar = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
-        scalar.rasterizer.vectorized = False
         vector = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
-        scalar_out = scalar.trace_only(scene, camera)
+        scalar_out = trace_only_scalar(scalar, scene, camera)
         vector_out = vector.trace_only(scene, camera)
         assert scalar_out.trace.requests == vector_out.trace.requests
         assert np.array_equal(
@@ -250,10 +250,7 @@ class TestBatchedRenderer:
     def test_frame_identical_to_scalar_shading(self, mode):
         scene, camera = make_tiny_scene()
         batched = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
-        scalar = Renderer(
-            width=48, height=36, tile_size=4, max_anisotropy=8,
-            batch_sampling=False,
-        )
+        scalar = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
         batched_image = batched.render(scene, camera, mode).image
-        scalar_image = scalar.render(scene, camera, mode).image
+        scalar_image = render_scalar(scalar, scene, camera, mode).image
         assert np.array_equal(batched_image, scalar_image)
