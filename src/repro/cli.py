@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fail if the batched exact sampler's slowest "
                        "workload speedup is below this factor")
     bench.add_argument("--frame-min-speedup", type=float, default=1.0,
-                       help="fail if the whole-frame (trace+replay) "
+                       help="fail if the whole-frame (trace+expand+replay) "
                        "speedup over the scalar oracles is below this "
                        "factor on any workload, see BENCH_frame.json")
     bench.add_argument("--output-dir", default=".",

@@ -17,7 +17,7 @@ and the GPU pipeline model.
 """
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedRequest, RequestExpander
+from repro.core.expansion import ExpansionColumns, RequestExpander
 from repro.core.frontend import (
     DesignRun,
     SequenceResult,
@@ -30,7 +30,7 @@ __all__ = [
     "Design",
     "DesignConfig",
     "RequestExpander",
-    "ExpandedRequest",
+    "ExpansionColumns",
     "simulate_frame",
     "simulate_sequence",
     "DesignRun",

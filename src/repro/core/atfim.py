@@ -23,10 +23,10 @@ Unit are 16-wide ALU arrays.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedRequest, ParentTexel
+from repro.core.expansion import ExpansionRows
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
@@ -83,26 +83,31 @@ class AtfimPath(TexturePath):
         self.child_lines_fetched = 0
         self.offload_packages = 0
 
-    def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
-        packets = self.config.packets
+    def serve(
+        self, cluster: int, issue: float, rows: ExpansionRows, index: int
+    ) -> float:
         unit = self.units[cluster]
         unit.note_request()
         threshold = self.config.effective_angle_threshold
-        angle = expanded.request.camera_angle
+        angle = rows.camera_angle[index]
 
         # GPU side: generate the (few) parent-texel addresses.
-        num_parents = expanded.num_parent_texels
+        first = rows.parent_offsets[index]
+        last = rows.parent_offsets[index + 1]
+        num_parents = last - first
         address_done = unit.generate_addresses(issue, num_parents)
 
         # Classify each parent against the angle-tagged caches.  Only
         # anisotropic parents carry an angle tag; isotropic ones behave
         # like ordinary cached lines.
-        missing: List[ParentTexel] = []
-        for parent in expanded.parents:
-            needs_angle = parent.num_children > 1
+        parent_line = rows.parent_line
+        num_children = rows.num_children
+        missing: List[int] = []
+        for parent in range(first, last):
+            needs_angle = num_children[parent] > 1
             result = self.caches.probe(
                 cluster,
-                parent.line_address,
+                parent_line[parent],
                 angle if needs_angle else None,
                 threshold if needs_angle else None,
             )
@@ -116,22 +121,25 @@ class AtfimPath(TexturePath):
                 missing.append(parent)
 
         if missing:
-            parents_ready = self._offload(address_done, missing)
+            parents_ready = self._offload(address_done, rows, missing)
         else:
             parents_ready = address_done
 
         # GPU side: bilinear/trilinear over the (approximated) parents.
         return unit.filter_texels(parents_ready, num_parents)
 
-    def _offload(self, arrival: float, missing: List[ParentTexel]) -> float:
-        """Round-trip the missing parents through the HMC pipeline."""
+    def _offload(
+        self, arrival: float, rows: ExpansionRows, missing: List[int]
+    ) -> float:
+        """Round-trip the missing parents (row indices) through the HMC
+        pipeline."""
         packets = self.config.packets
         self.offload_packages += 1
 
         # Offloading Unit: one compressed package for this fetch's
         # missing parents (they share the first parent's base address).
         request_bytes = packets.parent_texel_request_bytes
-        home = missing[0].line_address
+        home = rows.parent_line[missing[0]]
         self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
         delivered = self.hmc.send_request(arrival, home, request_bytes)
 
@@ -139,16 +147,21 @@ class AtfimPath(TexturePath):
         admitted = self.parent_buffer.enqueue(delivered)
 
         # Texel Generator: one address op per child texel.
-        total_children = sum(parent.num_children for parent in missing)
+        num_children = rows.num_children
+        total_children = sum(num_children[parent] for parent in missing)
         self.child_texels_generated += total_children
         generated = self.texel_generator.generate_addresses(admitted, total_children)
 
         # Child Texel Consolidation: dedup child lines across parents.
+        child_lines = rows.child_lines
+        child_offsets = rows.child_offsets
         if self.config.consolidation_enabled:
             lines: List[int] = []
             seen = set()
             for parent in missing:
-                for line in parent.child_line_addresses:
+                for line in child_lines[
+                    child_offsets[parent]:child_offsets[parent + 1]
+                ]:
                     if line not in seen:
                         seen.add(line)
                         lines.append(line)
@@ -156,7 +169,9 @@ class AtfimPath(TexturePath):
             lines = [
                 line
                 for parent in missing
-                for line in parent.child_line_addresses
+                for line in child_lines[
+                    child_offsets[parent]:child_offsets[parent + 1]
+                ]
             ]
 
         # Vault fetches at internal bandwidth, merged against in-flight

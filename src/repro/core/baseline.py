@@ -13,7 +13,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedRequest
+from repro.core.expansion import ExpansionColumns, ExpansionRows
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
@@ -63,44 +63,24 @@ class GpuFilteringPath(TexturePath):
                 compressed=config.texture_compression,
             )
             self.gddr5 = None
-        self._column_cache = None
 
-    def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
+    def serve(
+        self, cluster: int, issue: float, rows: ExpansionRows, index: int
+    ) -> float:
         unit = self.units[cluster]
         unit.note_request()
-        num_texels = expanded.num_conventional_texels
+        num_texels = rows.texels[index]
         address_done = unit.generate_addresses(issue, num_texels)
         data_ready = address_done
-        for line in expanded.conventional_lines:
+        offsets = rows.line_offsets
+        for line in rows.lines[offsets[index]:offsets[index + 1]]:
             ready = self.caches.lookup(cluster, address_done, line, self.memory)
             if ready > data_ready:
                 data_ready = ready
         return unit.filter_texels(data_ready, num_texels)
 
-    def begin_replay(
-        self, expansions: Sequence[ExpandedRequest]
-    ) -> "_GpuReplaySession":
-        return _GpuReplaySession(self, expansions)
-
-    def _columns_for(
-        self, expansions: Sequence[ExpandedRequest]
-    ) -> "_ReplayColumns":
-        """Per-trace replay columns, memoised on the list's identity.
-
-        The frame frontend replays the *same* expansion list object for
-        the warm-up and the measured pass, so keying on identity lets
-        the measured replay reuse the warm-up's precompute.  Holding the
-        list reference in the cache keeps the ``is`` test sound (the id
-        cannot be recycled while we hold it).  Columns depend only on
-        the expansions and the cache/ALU geometry, both fixed for the
-        path's lifetime, so the cache survives reset_for_measurement.
-        """
-        cached = self._column_cache
-        if cached is not None and cached[0] is expansions:
-            return cached[1]
-        columns = _ReplayColumns(self, expansions)
-        self._column_cache = (expansions, columns)
-        return columns
+    def begin_replay(self, columns: ExpansionColumns) -> "_GpuReplaySession":
+        return _GpuReplaySession(self, columns)
 
     def activity(self) -> PathActivity:
         activity = PathActivity()
@@ -132,10 +112,11 @@ class GpuFilteringPath(TexturePath):
             self.hmc.reset()
 
 class _ReplayColumns:
-    """Immutable per-trace columns for the GPU-filtering replay session.
+    """Per-replay columns for the GPU-filtering replay session.
 
-    Everything here is a pure function of the expansion list and the
-    cache/ALU geometry, computed as whole-trace numpy expressions and
+    Everything here is a pure function of the shared
+    :class:`~repro.core.expansion.ExpansionColumns` and the cache/ALU
+    geometry, derived straight from the expansion's numpy columns and
     materialised as python lists (the scheduler indexes them one scalar
     at a time, where list indexing beats ndarray item access).  The
     arithmetic is lane-for-lane the scalar path's:
@@ -146,10 +127,9 @@ class _ReplayColumns:
       int64 floor division and modulus agree exactly with python ints
       for the non-negative addresses the expansion produces.
 
-    Columns are memoised per path keyed on the expansion list's
-    *identity* (see :meth:`GpuFilteringPath._columns_for`): the frame
-    frontend replays the same list object for the warm-up and measured
-    passes, so the second replay reuses the first pass's columns.
+    Built once per replay and owned by the session, never cached on the
+    path: deriving them costs a few milliseconds, and a drained run must
+    not carry its frame's expansion into pickles or the runner's memo.
     """
 
     __slots__ = (
@@ -159,35 +139,21 @@ class _ReplayColumns:
     )
 
     def __init__(
-        self, path: "GpuFilteringPath", expansions: Sequence[ExpandedRequest]
+        self, path: "GpuFilteringPath", columns: ExpansionColumns
     ) -> None:
         gpu = path.config.gpu
         unit_config = gpu.texture_unit
-        count = len(expansions)
-        texels = np.fromiter(
-            (e.num_conventional_texels for e in expansions),
-            dtype=np.int64, count=count,
-        )
+        texels = columns.texels
         texels_float = texels.astype(np.float64)
         self.texels = texels.tolist()
         self.addr_occ = (texels_float / float(unit_config.address_alus)).tolist()
         self.filt_occ = (texels_float / float(unit_config.filter_alus)).tolist()
         self.pipe_depth = unit_config.pipeline_depth
 
-        line_counts = np.fromiter(
-            (len(e.conventional_lines) for e in expansions),
-            dtype=np.int64, count=count,
-        )
-        total_lines = int(line_counts.sum())
-        lines_flat = np.fromiter(
-            (address for e in expansions for address in e.conventional_lines),
-            dtype=np.int64, count=total_lines,
-        )
-        if total_lines and bool(np.any(lines_flat < 0)):
+        lines_flat = columns.lines
+        if bool(np.any(lines_flat < 0)):
             raise ValueError("negative address")
-        self.offsets = np.concatenate(
-            ([0], np.cumsum(line_counts))
-        ).tolist()
+        self.offsets = columns.line_offsets.tolist()
         self.lines = lines_flat.tolist()
 
         l1, l2 = gpu.l1_cache, gpu.l2_cache
@@ -223,10 +189,12 @@ class _GpuReplaySession(ReplaySession):
     """
 
     def __init__(
-        self, path: "GpuFilteringPath", expansions: Sequence[ExpandedRequest]
+        self, path: "GpuFilteringPath", expansion: ExpansionColumns
     ) -> None:
-        super().__init__(path, expansions)
-        columns = path._columns_for(expansions)
+        # Not ``super().__init__``: this session serves from its own
+        # columns, so it skips the base session's full python-list rows.
+        self.path = path
+        columns = _ReplayColumns(path, expansion)
         texels = columns.texels
         addr_occ = columns.addr_occ
         filt_occ = columns.filt_occ

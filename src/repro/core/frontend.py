@@ -1,7 +1,8 @@
 """The public entry points: simulate frames and frame sequences.
 
-``simulate_frame`` wires together a workload's fragment trace, the
-request expander, the design-specific texture path, and the GPU pipeline
+``simulate_frame`` wires together a workload's fragment trace, its
+columnar request expansion (shared across designs when the caller
+passes one in), the design-specific texture path, and the GPU pipeline
 model, returning a :class:`DesignRun` with the frame result, energy, and
 the design-specific counters the experiments report.
 
@@ -21,7 +22,7 @@ from repro import obs
 from repro.core.atfim import AtfimPath
 from repro.core.baseline import GpuFilteringPath
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import RequestExpander
+from repro.core.expansion import ExpansionColumns, expand_trace
 from repro.core.paths import TexturePath
 from repro.core.stfim import StfimPath
 from repro.gpu.pipeline import FrameResult, GpuPipeline
@@ -95,6 +96,7 @@ def simulate_frame(
     address_map: Optional[TexelAddressMap] = None,
     warmup: bool = True,
     check_invariants: Optional[bool] = None,
+    expansion: Optional[ExpansionColumns] = None,
 ) -> DesignRun:
     """Simulate one frame of ``trace`` under ``config``.
 
@@ -111,6 +113,12 @@ def simulate_frame(
     ``check_invariants`` validates the drained frame against the
     conservation invariants of :mod:`repro.analysis.invariants`; ``None``
     defers to the ``REPRO_CHECK_INVARIANTS`` environment flag.
+
+    ``expansion`` is the trace's :class:`ExpansionColumns` under
+    ``config.aniso_enabled`` and ``address_map`` (see
+    :func:`~repro.core.expansion.expand_trace`); it depends on no other
+    design parameter, so callers simulating several designs of one
+    trace compute it once and pass it in.  ``None`` expands here.
     """
     with obs.span(
         "core.simulate_frame",
@@ -119,26 +127,22 @@ def simulate_frame(
         aniso_enabled=config.aniso_enabled,
     ):
         traffic = TrafficMeter()
-        expander = RequestExpander(scene, address_map)
-        with obs.span("core.expand"):
-            if config.aniso_enabled:
-                expanded = [expander.expand(request) for request in trace.requests]
-            else:
-                expanded = [
-                    expander.expand_isotropic(request) for request in trace.requests
-                ]
+        if expansion is None:
+            expansion = expand_trace(
+                scene, trace.requests, config.aniso_enabled, address_map
+            )
 
         path = make_texture_path(config, traffic)
         pipeline = GpuPipeline(config.gpu)
         if warmup:
             with obs.span("core.warmup_replay"):
-                pipeline.replay_texture_stream(trace, expanded, path)
+                pipeline.replay_texture_stream(trace, expansion, path)
             path.reset_for_measurement()
             traffic.reset()
         with obs.span("core.measured_replay"):
             frame = pipeline.simulate_frame(
                 trace=trace,
-                expanded=expanded,
+                expansion=expansion,
                 path=path,
                 traffic=traffic,
                 num_vertices=scene.num_vertices,
@@ -205,7 +209,6 @@ def simulate_sequence(
         raise ValueError("a sequence needs at least one frame")
     checking = _resolve_check_invariants(check_invariants)
     traffic = TrafficMeter()
-    expander = RequestExpander(scene, address_map)
     path = make_texture_path(config, traffic)
     pipeline = GpuPipeline(config.gpu)
 
@@ -213,16 +216,13 @@ def simulate_sequence(
     for frame_index, trace in enumerate(traces):
         with obs.span("core.simulate_sequence_frame", frame=frame_index,
                       design=config.design.value):
-            if config.aniso_enabled:
-                expanded = [expander.expand(request) for request in trace.requests]
-            else:
-                expanded = [
-                    expander.expand_isotropic(request) for request in trace.requests
-                ]
+            expansion = expand_trace(
+                scene, trace.requests, config.aniso_enabled, address_map
+            )
             before = traffic.snapshot()
             frame = pipeline.simulate_frame(
                 trace=trace,
-                expanded=expanded,
+                expansion=expansion,
                 path=path,
                 traffic=traffic,
                 num_vertices=scene.num_vertices,

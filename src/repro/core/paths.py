@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.designs import DesignConfig
-from repro.core.expansion import ExpandedRequest
+from repro.core.expansion import ExpansionColumns, ExpansionRows
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
@@ -288,24 +288,25 @@ class PathActivity:
 class ReplaySession:
     """Per-replay serving context for the replay scheduler.
 
-    Created by :meth:`TexturePath.begin_replay` with the full expansion
-    list of the frame.  The scheduler calls :meth:`serve_chunk` once per
-    ready timestamp (clusters ascending, the scalar heap's pop order)
-    and :meth:`finish` once at drain time, before any counters are read.
+    Created by :meth:`TexturePath.begin_replay` with the frame's
+    :class:`~repro.core.expansion.ExpansionColumns`.  The scheduler
+    calls :meth:`serve_one` / :meth:`serve_chunk` per ready timestamp
+    (clusters ascending, the scalar heap's pop order) and
+    :meth:`finish` once at drain time, before any counters are read.
 
-    The base implementation delegates each request to the path's scalar
-    :meth:`TexturePath.serve` -- the correctness fallback.  Paths with a
-    specialised session hoist per-replay constants and precompute
-    per-request columns here instead; overrides must keep the arithmetic
-    bit-identical to the scalar path (the replay parity tests compare
-    the two schedulers end to end).
+    The base implementation materialises the columns as python-list
+    :class:`~repro.core.expansion.ExpansionRows` once, owns them for the
+    replay, and delegates each request to the path's scalar
+    :meth:`TexturePath.serve` with them; no path keeps a reference, so a
+    drained run carries nothing of its frame's expansion.  Paths with a
+    specialised session derive their own per-request columns instead;
+    overrides must keep the arithmetic bit-identical to the scalar path
+    (the replay parity tests compare the two schedulers end to end).
     """
 
-    def __init__(
-        self, path: "TexturePath", expansions: Sequence[ExpandedRequest]
-    ) -> None:
+    def __init__(self, path: "TexturePath", columns: ExpansionColumns) -> None:
         self.path = path
-        self.expansions = expansions
+        self.rows = columns.rows()
 
     def serve_one(self, cluster: int, issue: float, index: int) -> float:
         """Serve the single request at ``index`` issuing at ``issue``.
@@ -316,7 +317,7 @@ class ReplaySession:
         multi-cluster rounds.  Both must produce the identical scalar
         service sequence.
         """
-        return self.path.serve(cluster, issue, self.expansions[index])
+        return self.path.serve(cluster, issue, self.rows, index)
 
     def serve_chunk(
         self, clusters: Sequence[int], issue: float, indices: Sequence[int]
@@ -329,7 +330,7 @@ class ReplaySession:
         ]
 
     def finish(self) -> None:
-        """Flush any locally accumulated counters back to the path."""
+        """Flush locally accumulated counters (none in the base session)."""
 
 
 class TexturePath(abc.ABC):
@@ -340,21 +341,22 @@ class TexturePath(abc.ABC):
         self.traffic = traffic
 
     @abc.abstractmethod
-    def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
-        """Serve one request; return the completion cycle at the shader."""
+    def serve(
+        self, cluster: int, issue: float, rows: ExpansionRows, index: int
+    ) -> float:
+        """Serve request ``index`` of ``rows``; return the completion
+        cycle at the shader."""
 
-    def begin_replay(
-        self, expansions: Sequence[ExpandedRequest]
-    ) -> ReplaySession:
-        """Open a serving session for one replay of ``expansions``.
+    def begin_replay(self, columns: ExpansionColumns) -> ReplaySession:
+        """Open a serving session for one replay of ``columns``.
 
         The replay scheduler serves every request of a replay through
-        one session, letting path implementations precompute per-request
-        columns (texel counts, stage occupancies, cache set/tag address
-        math) as whole-trace numpy expressions and keep hot counters in
-        locals until :meth:`ReplaySession.finish`.
+        one session, letting path implementations derive per-request
+        columns (stage occupancies, cache set/tag address math) from the
+        shared expansion as whole-trace numpy expressions and keep hot
+        counters in locals until :meth:`ReplaySession.finish`.
         """
-        return ReplaySession(self, expansions)
+        return ReplaySession(self, columns)
 
     @abc.abstractmethod
     def activity(self) -> PathActivity:

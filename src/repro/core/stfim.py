@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedRequest
+from repro.core.expansion import ExpansionRows
 from repro.core.paths import (
     PathActivity,
     ReadMergeWindow,
@@ -72,27 +72,30 @@ class StfimPath(TexturePath):
     def _mtu_index(self, cluster: int) -> int:
         return cluster // self.config.mtu_share
 
-    def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
+    def serve(
+        self, cluster: int, issue: float, rows: ExpansionRows, index: int
+    ) -> float:
+        lines = rows.lines[rows.line_offsets[index]:rows.line_offsets[index + 1]]
         packets = self.config.packets
-        index = self._mtu_index(cluster)
-        mtu = self.mtus[index]
+        mtu_index = self._mtu_index(cluster)
+        mtu = self.mtus[mtu_index]
         mtu.note_request()
 
         # Shader -> MTU: live-texture package over the transmit link,
         # gated by the MTU's bounded request queue (stall protocol).
-        admitted = self.queues[index].enqueue(issue)
+        admitted = self.queues[mtu_index].enqueue(issue)
         request_bytes = packets.texture_request_bytes
-        home = expanded.conventional_lines[0] if expanded.conventional_lines else 0
+        home = lines[0] if lines else 0
         self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
         delivered = self.hmc.send_request(admitted, home, request_bytes)
 
         # MTU pipeline: address generation, vault fetches, filtering.
-        num_texels = expanded.num_conventional_texels
+        num_texels = rows.texels[index]
         address_done = mtu.generate_addresses(delivered, num_texels)
         data_ready = address_done
         line_bytes = _line_payload_bytes(packets, self.config.texture_compression)
-        window = self.merge_windows[index]
-        for line in expanded.conventional_lines:
+        window = self.merge_windows[mtu_index]
+        for line in lines:
             merged_ready = window.lookup(line)
             if merged_ready is not None:
                 ready = max(address_done, merged_ready)

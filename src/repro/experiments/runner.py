@@ -2,8 +2,9 @@
 
 Most figures slice the same underlying grid -- (workload x design x
 threshold x aniso) -- so the runner memoises :func:`simulate_frame`
-results and the per-workload traces.  All experiments are deterministic;
-the caches are purely time savers.
+results, the per-workload traces, and each trace's request expansion
+(one per aniso setting, shared by every design point).  All experiments
+are deterministic; the caches are purely time savers.
 
 Three layers, consulted in order:
 
@@ -43,6 +44,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from repro import faults, obs
 from repro.core import Design, simulate_frame
 from repro.core.angle import DEFAULT_THRESHOLD, AngleThreshold
+from repro.core.expansion import ExpansionColumns, expand_trace
 from repro.core.frontend import DesignRun
 from repro.energy import EnergyBreakdown, EnergyModel
 from repro.experiments.cache import CacheStats, DiskCache
@@ -241,6 +243,7 @@ class ExperimentRunner:
         else:
             self.workloads = [workload_by_name(name) for name in workload_names]
         self._traces: Dict[str, Tuple[Scene, FragmentTrace]] = {}
+        self._expansions: Dict[Tuple[str, bool], ExpansionColumns] = {}
         self._runs: Dict[RunKey, DesignRun] = {}
         self._energy: Dict[RunKey, EnergyBreakdown] = {}
         self.energy_model = EnergyModel()
@@ -293,6 +296,24 @@ class ExperimentRunner:
         self._traces[workload.name] = pair
         return pair
 
+    def _expansion(
+        self, workload_name: str, aniso_enabled: bool,
+        scene: Scene, trace: FragmentTrace,
+    ) -> ExpansionColumns:
+        """A trace's expansion, computed once per (workload, aniso flag).
+
+        Every design point of a workload replays the same expansion, so
+        it is memoised next to the trace.
+        """
+        key = (workload_name, aniso_enabled)
+        with self._memo_lock:
+            expansion = self._expansions.get(key)
+        if expansion is None:
+            expansion = expand_trace(scene, trace.requests, aniso_enabled)
+            with self._memo_lock:
+                expansion = self._expansions.setdefault(key, expansion)
+        return expansion
+
     def run(
         self,
         workload: GameWorkload,
@@ -336,7 +357,10 @@ class ExperimentRunner:
                 mtu_share=mtu_share,
                 consolidation_enabled=consolidation_enabled,
             )
-            run = simulate_frame(scene, trace, config)
+            expansion = self._expansion(
+                workload.name, aniso_enabled, scene, trace
+            )
+            run = simulate_frame(scene, trace, config, expansion=expansion)
             if current is not None:
                 current.attributes["source"] = "simulated"
             self._runs[key] = run
@@ -385,7 +409,10 @@ class ExperimentRunner:
                 memory_backend=key.memory_backend,
                 link_bandwidth_scale=key.link_bandwidth_scale,
             )
-            run = simulate_frame(scene, trace, config)
+            expansion = self._expansion(
+                workload.name, key.aniso_enabled, scene, trace
+            )
+            run = simulate_frame(scene, trace, config, expansion=expansion)
             if current is not None:
                 current.attributes["source"] = "simulated"
             with self._memo_lock:

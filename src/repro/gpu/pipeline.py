@@ -21,11 +21,11 @@ result -- falls out of the same replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.core.expansion import ExpandedRequest, RequestExpander
+from repro.core.expansion import ExpansionColumns
 from repro.core.paths import CacheHierarchyStats, PathActivity, TexturePath
 from repro.gpu.config import GPUConfig
 from repro.gpu.geometry import GeometryResult, simulate_geometry
@@ -176,7 +176,7 @@ class GpuPipeline:
         """Split the request stream per cluster, preserving order.
 
         Returns per-cluster lists of request *indices* (into the trace
-        and its expansion list) plus per-cluster fragment counts.
+        and its expansion columns) plus per-cluster fragment counts.
 
         Memoised on the trace's identity: the warm-up and measured
         replays of one frame partition the same trace object, and the
@@ -202,7 +202,7 @@ class GpuPipeline:
     def replay_texture_stream(
         self,
         trace: FragmentTrace,
-        expanded: Sequence[ExpandedRequest],
+        expansion: ExpansionColumns,
         path: TexturePath,
     ) -> tuple[float, LatencyHistogram, List[int]]:
         """Replay all texture requests through a texture path.
@@ -248,7 +248,7 @@ class GpuPipeline:
         if remaining == 0:
             return 0.0, histogram, fragments_per_cluster
 
-        session = path.begin_replay(expanded)
+        session = path.begin_replay(expansion)
         serve_one = session.serve_one
         serve_chunk = session.serve_chunk
         infinity = float("inf")
@@ -341,15 +341,15 @@ class GpuPipeline:
     def simulate_frame(
         self,
         trace: FragmentTrace,
-        expanded: Sequence[ExpandedRequest],
+        expansion: ExpansionColumns,
         path: TexturePath,
         traffic: TrafficMeter,
         num_vertices: int,
         external_bytes_per_cycle: float,
     ) -> FrameResult:
         """Run the full pipeline model for one frame."""
-        if len(expanded) != len(trace.requests):
-            raise ValueError("expansion list does not match the trace")
+        if len(expansion) != len(trace.requests):
+            raise ValueError("expansion does not match the trace")
         config = self.config
 
         geometry = simulate_geometry(config, num_vertices, traffic)
@@ -357,7 +357,7 @@ class GpuPipeline:
         raster_cycles = len(trace.requests) / config.fragments_per_cycle_raster
 
         texture_cycles, histogram, fragments_per_cluster = (
-            self.replay_texture_stream(trace, expanded, path)
+            self.replay_texture_stream(trace, expansion, path)
         )
 
         shader = simulate_fragment_shading(config, fragments_per_cluster)
@@ -382,7 +382,7 @@ class GpuPipeline:
             rop=rop.cycles,
             fragment_stage=fragment_stage,
         )
-        texels = sum(expansion.num_conventional_texels for expansion in expanded)
+        texels = int(expansion.texels.sum())
         return FrameResult(
             stages=stages,
             traffic=traffic,

@@ -19,11 +19,13 @@ implementations in :mod:`repro.perf.oracles`:
     the bare one (the zero-overhead-when-disabled contract).
 ``BENCH_frame.json``
     The whole-frame hot path per workload: trace generation (SoA
-    rasterizer vs the scalar AoS oracle) and the texture replay
+    rasterizer vs the scalar AoS oracle), request expansion (columnar
+    vs the per-request scalar expander) and the texture replay
     (batched per-timestamp drain vs the scalar heap scheduler), timed
     cold (warm-up replay against empty caches) and warm (measured replay
-    against warmed caches), with an end-result identity check on the
-    makespan, latency histogram, per-cluster counts, and traffic.
+    against warmed caches), with identity checks on the request stream,
+    every expansion column, and the replay's makespan, latency
+    histogram, per-cluster counts, and traffic.
 ``BENCH_sweep.json``
     A tiny sampled design-space sweep (:mod:`repro.experiments.sweep`)
     executed once per executor backend (serial, process-pool), each
@@ -185,22 +187,26 @@ def bench_frame(
     workload_names: Optional[Sequence[str]] = None,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Time the whole-frame hot path: trace + replay, oracle vs batched.
+    """Time the whole frame: trace + expand + replay, oracle vs batched.
 
-    Per workload, the two phases the per-fragment/per-event scalar code
-    used to dominate are each timed both ways (best of ``repeats``):
+    Per workload, the three phases of one design's frame are each timed
+    both ways (best of ``repeats``):
 
     * *trace*: rasterization into texture requests, through the scalar
       AoS fragment loop vs the columnar :class:`FragmentBatch` path;
+    * *expand*: request expansion (anisotropic), through the
+      per-request :func:`~repro.perf.oracles.expand_scalar` vs the
+      whole-trace :class:`~repro.core.expansion.RequestExpander`;
     * *replay*: the baseline design's texture replay, through the scalar
       heap scheduler vs the batched per-timestamp drain -- split into
-      the cold warm-up replay (compulsory misses, session precompute)
-      and the warm measured replay (steady-state caches, memoised
-      columns), matching ``simulate_frame``'s warm-up protocol.
+      the cold warm-up replay (compulsory misses) and the warm measured
+      replay (steady-state caches), matching ``simulate_frame``'s
+      warm-up protocol.  Both schedulers replay the same columns.
 
-    Request expansion is shared by both schedulers and excluded.  Every
-    pairing is checked for end-result identity: equal request streams
-    out of the rasterizer, and equal makespan / latency histogram /
+    ``total`` sums all four timings, so the whole-frame speedup covers
+    trace, expansion and both replays.  Every pairing is checked for
+    end-result identity: equal request streams out of the rasterizer,
+    equal expansion columns, and equal makespan / latency histogram /
     per-cluster counts / external traffic out of the replay.
     """
     from repro.core import Design
@@ -211,8 +217,9 @@ def bench_frame(
     from repro.experiments.runner import FAST_WORKLOADS
     from repro.gpu.pipeline import GpuPipeline
     from repro.memory.traffic import TrafficMeter
-    from repro.perf.oracles import replay_scalar, trace_only_scalar
+    from repro.perf.oracles import expand_scalar, replay_scalar, trace_only_scalar
     from repro.render.renderer import Renderer
+    from repro.texture.address import TexelAddressMap
     from repro.workloads import workload_by_name
 
     trace_fns = {"scalar": trace_only_scalar, "batched": Renderer.trace_only}
@@ -256,9 +263,27 @@ def bench_frame(
             outputs["scalar"].trace.requests == trace.requests
         )
 
+        expand_seconds = {"scalar": float("inf"), "batched": float("inf")}
+        expansions: Dict[str, Any] = {}
+        for _ in range(rounds):
+            started = time.perf_counter()
+            expansions["scalar"] = expand_scalar(
+                built.scene, trace.requests, TexelAddressMap(), aniso=True
+            )
+            expand_seconds["scalar"] = min(
+                expand_seconds["scalar"], time.perf_counter() - started
+            )
+            started = time.perf_counter()
+            expansions["batched"] = RequestExpander(built.scene).expand(
+                trace.requests
+            )
+            expand_seconds["batched"] = min(
+                expand_seconds["batched"], time.perf_counter() - started
+            )
+        expanded = expansions["batched"]
+        expansion_identical = expanded.equals(expansions["scalar"])
+
         config = DesignConfig(design=Design.BASELINE)
-        expander = RequestExpander(built.scene)
-        expanded = [expander.expand(request) for request in trace.requests]
 
         cold_seconds = {"scalar": float("inf"), "batched": float("inf")}
         warm_seconds = {"scalar": float("inf"), "batched": float("inf")}
@@ -289,11 +314,13 @@ def bench_frame(
 
         scalar_total = (
             trace_seconds["scalar"]
+            + expand_seconds["scalar"]
             + cold_seconds["scalar"]
             + warm_seconds["scalar"]
         )
         batched_total = (
             trace_seconds["batched"]
+            + expand_seconds["batched"]
             + cold_seconds["batched"]
             + warm_seconds["batched"]
         )
@@ -308,6 +335,14 @@ def bench_frame(
                     trace_seconds["scalar"], trace_seconds["batched"]
                 ),
                 "identical_requests": trace_identical,
+            },
+            "expand": {
+                "scalar_seconds": expand_seconds["scalar"],
+                "batch_seconds": expand_seconds["batched"],
+                "speedup_vs_scalar": _speedup(
+                    expand_seconds["scalar"], expand_seconds["batched"]
+                ),
+                "identical_expansion": expansion_identical,
             },
             "replay": {
                 "scalar_cold_seconds": cold_seconds["scalar"],
@@ -335,7 +370,7 @@ def bench_frame(
         w["total"]["speedup_vs_scalar"] for w in workload_results
     ]
     return {
-        "schema": "repro-bench-frame/1",
+        "schema": "repro-bench-frame/2",
         "source_version": source_version(),
         "repeats": rounds,
         "workloads": workload_results,
@@ -344,6 +379,7 @@ def bench_frame(
             "geomean_total_speedup": _geomean(total_speedups),
             "identical": all(
                 w["trace"]["identical_requests"]
+                and w["expand"]["identical_expansion"]
                 and w["replay"]["identical_results"]
                 for w in workload_results
             ),
@@ -563,7 +599,8 @@ def run_bench(
     configuration); the default covers the whole ``FAST_WORKLOADS``
     set.  Returns a non-zero exit code when the batched exact sampler's
     slowest per-workload speedup falls below ``min_speedup``, the
-    whole-frame trace+replay speedup falls below ``frame_min_speedup``,
+    whole-frame trace+expand+replay speedup falls below
+    ``frame_min_speedup``,
     or any output fails the bit-identity check.
     """
     from repro.experiments.runner import FAST_WORKLOADS
@@ -598,6 +635,7 @@ def run_bench(
             f"{workload['name']:24s} frame "
             f"{workload['total']['speedup_vs_scalar']:5.1f}x  "
             f"(trace {workload['trace']['speedup_vs_scalar']:.1f}x, "
+            f"expand {workload['expand']['speedup_vs_scalar']:.1f}x, "
             f"replay cold {replay['speedup_cold']:.1f}x / "
             f"warm {replay['speedup_warm']:.1f}x)"
         )
@@ -669,7 +707,8 @@ def run_bench(
     if not frame_summary["identical"]:
         print(
             "FAIL: batched frame path is not bit-identical to the "
-            "scalar oracle (trace requests or replay results differ)"
+            "scalar oracle (trace requests, expansion columns or replay "
+            "results differ)"
         )
         return 1
     if frame_summary["min_total_speedup"] < frame_min_speedup:

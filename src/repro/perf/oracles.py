@@ -6,6 +6,9 @@ are what those paths are parity-tested against (``tests/gpu``,
 in the simulator imports this module, and no constructor option selects
 it.
 
+* :func:`expand_scalar` -- per-request, per-texel address resolution,
+  the reference for the columnar
+  :class:`~repro.core.expansion.ExpansionColumns`;
 * :func:`replay_scalar` -- the one-event-at-a-time heap scheduler that
   :meth:`GpuPipeline.replay_texture_stream` drains per timestamp;
 * :func:`rasterize_scalar` -- per-pixel fragment emission and
@@ -23,9 +26,11 @@ functions), so the only code that differs is the code under test.
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.expansion import ExpandedRequest
+import numpy as np
+
+from repro.core.expansion import ExpansionColumns
 from repro.core.paths import TexturePath
 from repro.gpu.pipeline import GpuPipeline
 from repro.render.camera import Camera
@@ -39,21 +44,123 @@ from repro.render.renderer import (
 )
 from repro.render.scene import Scene
 from repro.sim.latency import LatencyHistogram
+from repro.texture.address import TexelAddressMap
 from repro.texture.lod import camera_angle_from_normal, compute_footprint
 from repro.texture.requests import FragmentTrace, TextureRequest
+from repro.texture.sampling import (
+    child_texel_coords,
+    level_blend_for,
+    parent_texel_coords,
+    probe_offsets,
+)
+
+
+def expand_scalar(
+    scene: Scene,
+    requests: Sequence[TextureRequest],
+    address_map: TexelAddressMap,
+    aniso: bool,
+) -> ExpansionColumns:
+    """Per-request reference for :class:`~repro.core.expansion.RequestExpander`.
+
+    Resolves every texel through the scalar sampling helpers and
+    :meth:`TexelAddressMap.texel_line`, one request at a time, and
+    deduplicates lines with insertion-ordered dicts.
+    """
+    texels: List[int] = []
+    lines: List[List[int]] = []
+    parent_lines: List[List[int]] = []
+    num_children: List[List[int]] = []
+    child_lines: List[List[List[int]]] = []
+    for request in requests:
+        chain = scene.mipmap_chain(request.texture_id)
+        footprint = request.footprint
+        parents = parent_texel_coords(chain, footprint.lod, request.u, request.v)
+        conventional: Dict[int, None] = {}
+        request_parents: List[int] = []
+        request_counts: List[int] = []
+        request_children: List[List[int]] = []
+        if aniso:
+            blend = level_blend_for(chain, footprint.lod)
+            levels = [blend.level_low]
+            if not blend.is_single_level:
+                levels.append(blend.level_high)
+            taps_by_level: Dict[int, List[Tuple[int, int]]] = {}
+            for level, x, y, _weight in parents:
+                taps_by_level.setdefault(level, []).append((x, y))
+            count = 0
+            for level in levels:
+                for dx, dy in probe_offsets(footprint, level):
+                    for x, y in taps_by_level.get(level, []):
+                        count += 1
+                        line = address_map.texel_line(
+                            chain, level, x + dx, y + dy
+                        )
+                        conventional.setdefault(line, None)
+            for level, x, y, _weight in parents:
+                children = child_texel_coords(footprint, level, x, y)
+                unique: Dict[int, None] = {}
+                for cx, cy in children:
+                    unique.setdefault(
+                        address_map.texel_line(chain, level, cx, cy), None
+                    )
+                request_parents.append(address_map.texel_line(chain, level, x, y))
+                request_counts.append(len(children))
+                request_children.append(list(unique))
+        else:
+            count = len(parents)
+            for level, x, y, _weight in parents:
+                line = address_map.texel_line(chain, level, x, y)
+                conventional.setdefault(line, None)
+                request_parents.append(line)
+                request_counts.append(1)
+                request_children.append([line])
+        texels.append(count)
+        lines.append(list(conventional))
+        parent_lines.append(request_parents)
+        num_children.append(request_counts)
+        child_lines.append(request_children)
+    flat_children = [group for groups in child_lines for group in groups]
+    return ExpansionColumns(
+        texels=np.asarray(texels, dtype=np.int64),
+        camera_angle=np.asarray(
+            [request.camera_angle for request in requests], dtype=np.float64
+        ),
+        line_offsets=_offsets(lines),
+        lines=_flat(lines),
+        parent_offsets=_offsets(parent_lines),
+        parent_line=_flat(parent_lines),
+        num_children=_flat(num_children),
+        child_offsets=_offsets(flat_children),
+        child_lines=_flat(flat_children),
+    )
+
+
+def _offsets(groups: Sequence[Sequence[int]]) -> np.ndarray:
+    return np.cumsum([0] + [len(group) for group in groups], dtype=np.int64)
+
+
+def _flat(groups: Sequence[Sequence[int]]) -> np.ndarray:
+    return np.array(
+        [item for group in groups for item in group], dtype=np.int64
+    )
 
 
 def replay_scalar(
     pipeline: GpuPipeline,
     trace: FragmentTrace,
-    expanded: Sequence[ExpandedRequest],
+    expansion: ExpansionColumns,
     path: TexturePath,
 ) -> Tuple[float, LatencyHistogram, List[int]]:
     """One-event-at-a-time heap replay: the scheduling oracle.
 
     Same contract and result as
-    :meth:`~repro.gpu.pipeline.GpuPipeline.replay_texture_stream`.
+    :meth:`~repro.gpu.pipeline.GpuPipeline.replay_texture_stream`,
+    serving each request through the path's scalar
+    :meth:`~repro.core.paths.TexturePath.serve` with rows built once
+    for this replay.
     """
+    rows = expansion.rows()
     config = pipeline.config
     histogram = LatencyHistogram("texture_latency")
     depth = config.max_inflight_texture_requests
@@ -86,9 +193,9 @@ def replay_scalar(
             # Window state changed since this entry was pushed.
             heapq.heappush(heap, (current, cluster))
             continue
-        expansion = expanded[per_cluster[cluster][cursor[cluster]]]
+        index = per_cluster[cluster][cursor[cluster]]
         cursor[cluster] += 1
-        completion = path.serve(cluster, issue, expansion)
+        completion = path.serve(cluster, issue, rows, index)
         if completion < issue:
             raise RuntimeError("texture path completed before issue")
         histogram.observe(completion - issue)

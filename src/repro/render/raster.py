@@ -61,9 +61,10 @@ class FragmentBatch:
     The rasterizer emits these directly -- numpy arrays for pixel
     position, depth, texture coordinates, derivatives and camera angle --
     so footprint math and request generation stay batched all the way to
-    the expander's AoS bridge.  :meth:`to_fragments` is the adapter back
-    to :class:`RasterFragment` rows, bit-identical to what the scalar
-    oracle (:mod:`repro.perf.oracles`) emits.
+    the AoS bridge into :class:`TextureRequest` records.
+    :meth:`to_fragments` is the adapter back to :class:`RasterFragment`
+    rows, bit-identical to what the scalar oracle
+    (:mod:`repro.perf.oracles`) emits.
     """
 
     x: np.ndarray
@@ -294,7 +295,10 @@ class Rasterizer:
 
         Footprints (hypot/log2 heavy) and tile coordinates are computed
         as whole columns; the final loop only materialises the frozen
-        :class:`TextureRequest` rows the per-request expander consumes.
+        :class:`TextureRequest` rows of a :class:`FragmentTrace` -- the
+        record format the trace cache, ``traceio`` and the shading
+        paths exchange.  The cycle model reads them back as columns once
+        per frame (:class:`~repro.core.expansion.RequestExpander`).
         """
         footprints = compute_footprint_batch(
             batch.dudx, batch.dvdx, batch.dudy, batch.dvdy,
@@ -302,7 +306,7 @@ class Rasterizer:
         )
         tiles_x = batch.x // self.tile_size
         tiles_y = batch.y // self.tile_size
-        return [  # repro: noqa(REP400) -- AoS bridge to the per-request expander: frozen-dataclass materialisation only, every float column above is batched
+        return [  # repro: noqa(REP400) -- AoS bridge to the FragmentTrace record format: frozen-dataclass materialisation only, every float column above is batched
             TextureRequest(
                 pixel_x=int(batch.x[index]),
                 pixel_y=int(batch.y[index]),

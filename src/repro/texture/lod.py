@@ -153,8 +153,8 @@ class FootprintBatch:
     """SoA form of :class:`SampleFootprint` for a fragment batch.
 
     Columns are parallel numpy arrays; ``footprint(i)`` materialises one
-    row as a :class:`SampleFootprint` (the AoS bridge the per-request
-    expander still consumes).
+    row as a :class:`SampleFootprint` (the AoS bridge into
+    :class:`~repro.texture.requests.TextureRequest` records).
     """
 
     lod: np.ndarray

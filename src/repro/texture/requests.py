@@ -4,9 +4,10 @@ The functional renderer walks the scene once and emits, per fragment, a
 :class:`TextureRequest` describing everything the texture subsystem needs
 to replay the lookup architecturally: the footprint (LOD, anisotropy,
 probe axis), the camera angle, and which texture is addressed.  The
-cycle model expands requests into :class:`TexelFetch` streams using the
-same sampling math as the functional path, so functional and
-architectural texel counts agree by construction.
+cycle model expands a frame's requests into cache-line columns
+(:mod:`repro.core.expansion`) using the same sampling math as the
+functional path, so functional and architectural texel counts agree by
+construction.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ def tiny_setup():
     scene, camera = make_tiny_scene()
     renderer = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
     trace = renderer.trace_only(scene, camera).trace
-    expander = RequestExpander(scene)
-    expanded = [expander.expand(request) for request in trace.requests]
+    expanded = RequestExpander(scene).expand(trace.requests)
     return scene, trace, expanded
 
 
@@ -113,14 +112,15 @@ class TestSimulateFrame:
         assert frame.texture_filter_latency > 0
 
     def test_mismatched_expansion_rejected(self, tiny_setup):
-        scene, trace, expanded = tiny_setup
+        scene, trace, _ = tiny_setup
         gpu = small_gpu()
         traffic = TrafficMeter()
         path = make_path(Design.BASELINE, gpu, traffic)
         pipeline = GpuPipeline(gpu)
+        short = RequestExpander(scene).expand(trace.requests[:-1])
         with pytest.raises(ValueError):
             pipeline.simulate_frame(
-                trace, expanded[:-1], path, traffic,
+                trace, short, path, traffic,
                 num_vertices=3, external_bytes_per_cycle=128.0,
             )
 

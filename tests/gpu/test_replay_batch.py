@@ -44,9 +44,10 @@ def frame():
     trace = renderer.trace_only(scene, camera).trace
     expander = RequestExpander(scene)
     return {
+        "scene": scene,
         "trace": trace,
-        "aniso": [expander.expand(r) for r in trace.requests],
-        "iso": [expander.expand_isotropic(r) for r in trace.requests],
+        "aniso": expander.expand(trace.requests),
+        "iso": expander.expand_isotropic(trace.requests),
     }
 
 
@@ -101,22 +102,37 @@ class TestBitIdentity:
         batched = replay(design, depth, frame["trace"], expanded, True)
         assert batched == scalar
 
+    @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.value)
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_isotropic_batched_matches_scalar_oracle(
+        self, frame, design, depth
+    ):
+        expanded = frame["iso"]
+        scalar = replay(design, depth, frame["trace"], expanded, False)
+        batched = replay(design, depth, frame["trace"], expanded, True)
+        assert batched == scalar
+
 
 class TestDegenerateStreams:
     def empty_trace(self):
         return FragmentTrace(width=48, height=36, requests=[], tile_size=4)
 
+    def empty_expansion(self, frame):
+        return RequestExpander(frame["scene"]).expand([])
+
     @pytest.mark.parametrize("batched", (False, True))
-    def test_empty_trace(self, batched):
+    def test_empty_trace(self, frame, batched):
         result = replay(
-            Design.BASELINE, 4, self.empty_trace(), [], batched
+            Design.BASELINE, 4, self.empty_trace(),
+            self.empty_expansion(frame), batched,
         )
         assert result["latency_count"] == 0
         assert result["makespan"] == 0.0
 
-    def test_empty_trace_modes_agree(self):
-        scalar = replay(Design.BASELINE, 4, self.empty_trace(), [], False)
-        batched = replay(Design.BASELINE, 4, self.empty_trace(), [], True)
+    def test_empty_trace_modes_agree(self, frame):
+        empty = self.empty_expansion(frame)
+        scalar = replay(Design.BASELINE, 4, self.empty_trace(), empty, False)
+        batched = replay(Design.BASELINE, 4, self.empty_trace(), empty, True)
         assert batched == scalar
 
     @pytest.mark.parametrize("count", (1, 3))
@@ -126,7 +142,7 @@ class TestDegenerateStreams:
             width=trace.width, height=trace.height,
             requests=trace.requests[:count], tile_size=trace.tile_size,
         )
-        expanded = frame["aniso"][:count]
+        expanded = RequestExpander(frame["scene"]).expand(prefix.requests)
         scalar = replay(Design.BASELINE, 1, prefix, expanded, False)
         batched = replay(Design.BASELINE, 1, prefix, expanded, True)
         assert batched == scalar
