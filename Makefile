@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-units lint-determinism lint-vectorize lint-sarif test check rules invariants bench chaos sweep-smoke serve-smoke serve
+.PHONY: lint lint-units lint-determinism lint-sarif test check rules invariants bench chaos sweep-smoke serve-smoke serve
 
 lint:
 	$(PYTHON) -m repro.analysis lint
@@ -11,9 +11,6 @@ lint-units:
 
 lint-determinism:
 	$(PYTHON) -m repro.analysis lint --select REP3
-
-lint-vectorize:
-	$(PYTHON) -m repro.analysis lint --select REP4
 
 lint-sarif:
 	$(PYTHON) -m repro.analysis lint --format sarif --output lint-results.sarif

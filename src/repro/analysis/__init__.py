@@ -6,9 +6,9 @@ checkable by machines instead of reviewers:
 * :mod:`repro.analysis.linter` / :mod:`repro.analysis.rules` — an
   AST-based lint pass with repo-specific rules (stat-counter discipline,
   simulation determinism, exception hygiene, float-equality on cycle and
-  energy quantities, annotation coverage).  Run it with
-  ``python -m repro.analysis lint`` (or the ``repro-lint`` script); it
-  exits nonzero on violations so CI can gate on it.
+  energy quantities, annotation coverage, unit dataflow, worker safety).
+  Run it with ``python -m repro.analysis lint`` (or the ``repro-lint``
+  script); it exits nonzero on violations so CI can gate on it.
 
 * :mod:`repro.analysis.invariants` — runtime conservation assertions the
   simulator validates at frame drain time (texel request/response
@@ -17,58 +17,8 @@ checkable by machines instead of reviewers:
   ``REPRO_CHECK_INVARIANTS`` environment variable, or per call via
   ``simulate_frame(..., check_invariants=True)``; the test suite turns
   them on by default.
+
+The package re-exports nothing: import from the submodule you need, so
+that a simulator process importing :mod:`repro.analysis.invariants`
+never loads the lint engine.
 """
-
-from __future__ import annotations
-
-from repro.analysis.baseline import (
-    filter_new,
-    load_baseline,
-    merge_baseline,
-    scope_baseline,
-    write_baseline,
-)
-from repro.analysis.determinism import (
-    DeterminismRule,
-    determinism_rule_ids,
-    static_determinism_attestation,
-)
-from repro.analysis.findings import Finding
-from repro.analysis.hotspots import SpanProfile, rank_findings
-from repro.analysis.invariants import (
-    InvariantError,
-    InvariantViolation,
-    check_run,
-    checks_enabled,
-    invariant_names,
-)
-from repro.analysis.linter import Linter, lint_paths, lint_source, lint_sources
-from repro.analysis.rules import DEFAULT_RULES, rule_ids
-from repro.analysis.vectorize import VectorizeRule, vectorize_rule_ids
-
-__all__ = [
-    "DEFAULT_RULES",
-    "DeterminismRule",
-    "Finding",
-    "InvariantError",
-    "InvariantViolation",
-    "Linter",
-    "SpanProfile",
-    "VectorizeRule",
-    "check_run",
-    "checks_enabled",
-    "determinism_rule_ids",
-    "filter_new",
-    "invariant_names",
-    "lint_paths",
-    "lint_source",
-    "lint_sources",
-    "load_baseline",
-    "merge_baseline",
-    "rank_findings",
-    "rule_ids",
-    "scope_baseline",
-    "static_determinism_attestation",
-    "vectorize_rule_ids",
-    "write_baseline",
-]

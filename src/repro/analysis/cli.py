@@ -5,11 +5,6 @@ Subcommands:
 * ``lint [paths...]`` -- run the custom AST rules over the given files or
   directories (default: ``src``, ``benchmarks`` and ``tests`` under the
   current directory).  Exits 1 when findings exist, so CI can gate on it.
-  ``--baseline FILE`` suppresses findings frozen in a baseline file and
-  ``--write-baseline FILE`` (re)freezes the current findings (with
-  ``--select``, only the selected families -- others are preserved).
-  ``--profile MANIFEST`` ranks findings hottest-first by the measured
-  wall-clock share of each finding's enclosing span.
 * ``rules`` -- list the rule IDs and what each one enforces.
 * ``invariants`` -- list the registered runtime invariants.
 """
@@ -23,13 +18,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import (
-    filter_new,
-    load_baseline,
-    merge_baseline,
-    scope_baseline,
-    write_baseline,
-)
 from repro.analysis.linter import lint_paths
 from repro.analysis.rules import describe_rules, rule_catalog
 from repro.analysis.sarif import findings_to_sarif
@@ -78,42 +66,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             return 2
         findings = [f for f in findings if f.rule_id.startswith(prefixes)]
-    if args.write_baseline:
-        if args.select:
-            # A selected run only observed the selected families; merge
-            # so the other families' frozen entries are not clobbered
-            # (which would resurrect their findings on the next full run).
-            path = merge_baseline(findings, args.write_baseline,
-                                  tuple(args.select))
-            print(f"froze {len(findings)} finding(s) into {path} "
-                  f"(families {', '.join(args.select)}; others preserved)")
-        else:
-            path = write_baseline(findings, args.write_baseline)
-            print(f"froze {len(findings)} finding(s) into {path}")
-        return 0
-    if args.baseline:
-        if not Path(args.baseline).exists():
-            print(f"no such baseline file: {args.baseline}", file=sys.stderr)
-            return 2
-        baseline = load_baseline(args.baseline)
-        if args.select:
-            baseline = scope_baseline(baseline, tuple(args.select))
-        known_count = len(findings)
-        findings = filter_new(findings, baseline)
-        suppressed = known_count - len(findings)
-        if suppressed:
-            print(
-                f"baseline {args.baseline}: {suppressed} known finding(s) "
-                "suppressed",
-                file=sys.stderr,
-            )
-    if args.profile:
-        if not Path(args.profile).exists():
-            print(f"no such manifest file: {args.profile}", file=sys.stderr)
-            return 2
-        from repro.analysis.hotspots import SpanProfile, rank_findings
-
-        findings = rank_findings(findings, SpanProfile.from_manifest(args.profile))
     if args.format == "json":
         _emit(
             json.dumps([finding.as_dict() for finding in findings], indent=2),
@@ -125,12 +77,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             args.output,
         )
     else:
-        if args.profile:
-            from repro.analysis.hotspots import format_ranked
-
-            lines = [format_ranked(finding) for finding in findings]
-        else:
-            lines = [finding.format() for finding in findings]
+        lines = [finding.format() for finding in findings]
         scanned = ", ".join(str(target) for target in targets)
         if findings:
             lines.append(f"{len(findings)} finding(s) in {scanned}")
@@ -181,23 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="only report rule IDs starting with PREFIX "
              "(repeatable; e.g. --select REP2 for the unit rules)",
-    )
-    lint.add_argument(
-        "--profile",
-        metavar="MANIFEST",
-        help="rank findings hottest-first by measured wall-clock share, "
-             "using the span tree of a repro-run-manifest/1 file",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in FILE; only new ones are "
-             "reported (and gate the exit code)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="freeze the current findings into FILE and exit 0",
     )
     lint.set_defaults(func=_cmd_lint)
 

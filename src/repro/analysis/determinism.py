@@ -436,13 +436,8 @@ def _propagation_exempt(path: str) -> bool:
     return any(marker in path for marker in _PROPAGATION_EXEMPT_MARKERS)
 
 
-def harvest_model(sources: Sequence[Tuple[str, str]]) -> _ProjectModel:
-    """Parse and harvest every ``src/repro/`` source into one model.
-
-    Shared by the REP300 determinism pass and the REP400 vectorization
-    pass: both need the same cross-file call graph, they just walk it
-    from different roots.
-    """
+def _harvest_model(sources: Sequence[Tuple[str, str]]) -> _ProjectModel:
+    """Parse and harvest every ``src/repro/`` source into one model."""
     model = _ProjectModel()
     for raw_path, source in sources:
         path = Path(raw_path).as_posix()
@@ -456,7 +451,7 @@ def harvest_model(sources: Sequence[Tuple[str, str]]) -> _ProjectModel:
     return model
 
 
-def make_callee_resolver(model: _ProjectModel):
+def _make_callee_resolver(model: _ProjectModel):
     """Name-based callee resolution honouring the call-shape split.
 
     Returns ``resolve(rec) -> List[key]`` where keys index
@@ -488,24 +483,14 @@ def make_callee_resolver(model: _ProjectModel):
     return resolved_callees
 
 
-def reachable_from(model: _ProjectModel, root_names: Iterable[str],
-                   root_classes: Iterable[str] = (),
-                   resolver=None) -> Set[Tuple[str, str]]:
+def _reachable_from(model: _ProjectModel, root_names: FrozenSet[str],
+                    resolver) -> Set[Tuple[str, str]]:
     """Every record transitively callable from the named roots.
 
-    ``root_names`` match by simple function name; ``root_classes``
-    additionally seed every method of the named classes (entry objects
-    like samplers whose public surface is all hot).
+    ``root_names`` match by simple function name.
     """
-    if resolver is None:
-        resolver = make_callee_resolver(model)
-    names = set(root_names)
-    classes = set(root_classes)
-    stack = [
-        key for key, rec in model.records.items()
-        if rec.simple in names
-        or (rec.is_method and rec.qualname.split(".")[0] in classes)
-    ]
+    stack = [key for key, rec in model.records.items()
+             if rec.simple in root_names]
     reachable: Set[Tuple[str, str]] = set()
     while stack:
         key = stack.pop()
@@ -517,14 +502,13 @@ def reachable_from(model: _ProjectModel, root_names: Iterable[str],
 
 
 def _build_model(sources: Sequence[Tuple[str, str]]) -> _ProjectModel:
-    model = harvest_model(sources)
-    resolved_callees = make_callee_resolver(model)
+    model = _harvest_model(sources)
+    resolved_callees = _make_callee_resolver(model)
 
     # Worker reachability: everything transitively callable from the
     # parallel entry points or a submitted task function.
     root_names = _WORKER_ENTRY_NAMES | model.submit_names
-    model.reachable = reachable_from(model, root_names,
-                                     resolver=resolved_callees)
+    model.reachable = _reachable_from(model, root_names, resolved_callees)
 
     # ND propagation: a function is nondeterministic-returning if it
     # calls an ND source or an ND function, fixed-pointed across files.

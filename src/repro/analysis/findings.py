@@ -2,42 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Dict
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``properties`` carries optional post-hoc annotations (the
-    profile-guided pass attaches measured wall-clock share here); it is
-    excluded from equality so annotated and bare findings of the same
-    violation still compare equal (the serial-vs-parallel identity gate
-    and baseline fingerprints depend on that).
-    """
+    """One rule violation at one source location."""
 
     rule_id: str
     path: str
     line: int
     column: int
     message: str
-    properties: Optional[Mapping[str, Any]] = field(
-        default=None, compare=False
-    )
 
     def format(self) -> str:
         """``file:line:col: RULE message`` — the classic compiler shape."""
         return f"{self.path}:{self.line}:{self.column}: {self.rule_id} {self.message}"
 
     def as_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
+        return {
             "rule_id": self.rule_id,
             "path": self.path,
             "line": self.line,
             "column": self.column,
             "message": self.message,
         }
-        if self.properties:
-            payload["properties"] = dict(self.properties)
-        return payload

@@ -24,12 +24,8 @@ degree/radian confusion, untagged public quantities, ...) live in
 worker-safety rules (nondeterminism taint into cache keys and
 manifests, fork-unsafe global mutation, unpicklable task payloads,
 order-sensitive parallel reductions, worker env reads) live in
-:mod:`repro.analysis.determinism`; the REP400-series profile-guided
-vectorization / numeric-parity rules (scalar loops on hot paths,
-scalar ``math.*`` with numpy twins, float64 dtype creep, allocation
-in loops, bit-identity hazards) live in
-:mod:`repro.analysis.vectorize`.  All three engines are registered
-here alongside the syntactic rules.
+:mod:`repro.analysis.determinism`.  Both engines are registered here
+alongside the syntactic rules.
 """
 
 from __future__ import annotations
@@ -44,11 +40,6 @@ from repro.analysis.determinism import (
 )
 from repro.analysis.linter import LintContext, LintRule
 from repro.analysis.units import UNIT_RULE_TABLE, UnitDataflowRule, unit_rule_ids
-from repro.analysis.vectorize import (
-    VECTORIZE_RULE_TABLE,
-    VectorizeRule,
-    vectorize_rule_ids,
-)
 
 # ---------------------------------------------------------------------------
 # REP101 — statistics must be mutated through their own methods.
@@ -536,12 +527,11 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
     BarePoolMapRule(),
     UnitDataflowRule(),
     DeterminismRule(),
-    VectorizeRule(),
 )
 
 #: Engines owning a whole ID range each; excluded from the per-rule
 #: listings and replaced by their ID tables.
-_MULTI_ID_ENGINES = (UnitDataflowRule, DeterminismRule, VectorizeRule)
+_MULTI_ID_ENGINES = (UnitDataflowRule, DeterminismRule)
 
 
 def rule_ids() -> List[str]:
@@ -558,7 +548,6 @@ def rule_ids() -> List[str]:
     ]
     ids.extend(unit_rule_ids())
     ids.extend(determinism_rule_ids())
-    ids.extend(vectorize_rule_ids())
     return ids
 
 
@@ -579,7 +568,6 @@ def rule_catalog() -> List[Tuple[str, str, str]]:
         catalog.append((rule.rule_id, rule.name, rule.description))
     catalog.extend(UNIT_RULE_TABLE)
     catalog.extend(DETERMINISM_RULE_TABLE)
-    catalog.extend(VECTORIZE_RULE_TABLE)
     return catalog
 
 

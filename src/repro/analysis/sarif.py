@@ -27,7 +27,7 @@ def findings_to_sarif(
 ) -> Dict[str, object]:
     """Build a SARIF log dict from findings and the rule catalog.
 
-    ``findings`` are :class:`repro.analysis.linter.Finding` objects (any
+    ``findings`` are :class:`repro.analysis.findings.Finding` objects (any
     object with ``rule_id``/``path``/``line``/``column``/``message``
     works); ``catalog`` is ``(rule_id, name, description)`` triples as
     returned by :func:`repro.analysis.rules.rule_catalog`.
@@ -64,12 +64,6 @@ def findings_to_sarif(
         }
         if finding.rule_id in rule_index:
             result["ruleIndex"] = rule_index[finding.rule_id]
-        properties = getattr(finding, "properties", None)
-        if properties:
-            # SARIF property bag: profile-guided annotations (measured
-            # wall-clock share of the enclosing span) ride along so CI
-            # artifacts keep the hottest-first ranking evidence.
-            result["properties"] = dict(properties)
         results.append(result)
 
     return {

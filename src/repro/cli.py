@@ -324,7 +324,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             # Attest that the REP300-series static pass is clean: the
             # chaos gate's bit-identity claim rests on the worker paths
             # being free of nondeterminism sources.
-            from repro.analysis import static_determinism_attestation
+            from repro.analysis.determinism import static_determinism_attestation
 
             attestation = static_determinism_attestation()
             record.faults["static_determinism"] = attestation

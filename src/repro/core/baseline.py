@@ -8,7 +8,7 @@ external links for B-PIM -- section III's drop-in replacement).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -171,12 +171,11 @@ class _ReplayColumns:
 class _GpuReplaySession(ReplaySession):
     """Replay session for the baseline/B-PIM path.
 
-    ``serve_chunk`` is built as a closure in ``__init__`` so that every
+    ``serve_one`` is built as a closure in ``__init__`` so that every
     per-trace constant and every piece of mutable timing state is a cell
-    variable rather than an attribute: the replay scheduler's chunks
-    are usually a single request (cluster clocks drift apart within a
-    few rounds), so per-call attribute-to-local hoisting would cost more
-    than the serving arithmetic itself.
+    variable rather than an attribute: the replay scheduler calls it
+    once per request, so per-call attribute-to-local hoisting would cost
+    more than the serving arithmetic itself.
 
     The serving arithmetic inlines :meth:`GpuFilteringPath.serve`'s
     call chain (texture-unit stages, L1/L2 lookup, L2 port) operation
@@ -309,14 +308,6 @@ class _GpuReplaySession(ReplaySession):
                 return done + pipe_depth
             return data_ready
 
-        def serve_chunk(
-            clusters: Sequence[int], issue: float, indices: Sequence[int]
-        ) -> List[float]:
-            return [
-                serve_one(cluster, issue, index)
-                for cluster, index in zip(clusters, indices)
-            ]
-
         def finish() -> None:
             from repro.units import Bytes, Cycles, Ops
 
@@ -345,5 +336,4 @@ class _GpuReplaySession(ReplaySession):
             port.busy_cycles = Cycles(port_busy)
 
         self.serve_one = serve_one
-        self.serve_chunk = serve_chunk
         self.finish = finish

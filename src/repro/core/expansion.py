@@ -128,7 +128,8 @@ def _first_touch(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
         sorted_values[1:] != sorted_values[:-1]
     )
     keep = np.empty(len(order), dtype=bool)
-    keep[order] = first  # repro: noqa(REP404) -- order is a permutation: every index is written exactly once
+    # order is a permutation: every index is written exactly once.
+    keep[order] = first
     return keep
 
 
@@ -339,7 +340,8 @@ def _concatenate(blocks: Sequence[ExpansionColumns]) -> ExpansionColumns:
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """CSR offsets (length ``len(counts) + 1``) of per-owner counts."""
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])  # repro: noqa(REP404) -- integer counts: exact in any summation order
+    # Integer counts: exact in any summation order.
+    np.cumsum(counts, out=offsets[1:])
     return offsets
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.core.designs import DesignConfig
 from repro.core.expansion import ExpansionColumns, ExpansionRows
@@ -290,9 +290,9 @@ class ReplaySession:
 
     Created by :meth:`TexturePath.begin_replay` with the frame's
     :class:`~repro.core.expansion.ExpansionColumns`.  The scheduler
-    calls :meth:`serve_one` / :meth:`serve_chunk` per ready timestamp
-    (clusters ascending, the scalar heap's pop order) and
-    :meth:`finish` once at drain time, before any counters are read.
+    calls :meth:`serve_one` once per request in the scalar heap's pop
+    order (time ascending, ties by cluster ascending) and :meth:`finish`
+    once at drain time, before any counters are read.
 
     The base implementation materialises the columns as python-list
     :class:`~repro.core.expansion.ExpansionRows` once, owns them for the
@@ -311,23 +311,10 @@ class ReplaySession:
     def serve_one(self, cluster: int, issue: float, index: int) -> float:
         """Serve the single request at ``index`` issuing at ``issue``.
 
-        The replay scheduler's rounds are almost always singletons
-        (cluster clocks drift apart within a few cycles), so this is
-        its hot entry point; :meth:`serve_chunk` handles the rare
-        multi-cluster rounds.  Both must produce the identical scalar
-        service sequence.
+        The replay scheduler's only entry point; it returns the
+        request's completion time.
         """
         return self.path.serve(cluster, issue, self.rows, index)
-
-    def serve_chunk(
-        self, clusters: Sequence[int], issue: float, indices: Sequence[int]
-    ) -> List[float]:
-        """Serve the requests at ``indices``, all issuing at ``issue``."""
-        serve_one = self.serve_one
-        return [
-            serve_one(cluster, issue, index)
-            for cluster, index in zip(clusters, indices)
-        ]
 
     def finish(self) -> None:
         """Flush locally accumulated counters (none in the base session)."""

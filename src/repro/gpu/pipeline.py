@@ -216,14 +216,13 @@ class GpuPipeline:
         :func:`repro.perf.oracles.replay_scalar` (always serve the
         cluster whose next request issues earliest, ties in ascending
         cluster order, so shared resources -- L2 port, links, memory
-        channels -- observe arrivals in simulated-time order), drained
-        per timestamp: all events ready at the minimum next-issue time
-        go as one chunk through the path's replay session.  Why
-        chunking preserves the heap schedule: serving cluster ``c`` at
-        time ``t`` mutates only ``c``'s own clock and inflight window,
-        so the ready set at ``t`` is fixed the moment ``t`` becomes the
-        minimum next-issue time, and draining it in ascending cluster
-        order issues the exact same (time, cluster) service sequence.
+        channels -- observe arrivals in simulated-time order).  Each
+        step serves the lowest-numbered cluster at the minimum
+        next-issue time through the path's replay session
+        (:meth:`ReplaySession.serve_one`).  Serving cluster ``c`` at
+        time ``t`` moves only ``ready_at[c]``, and only past ``t``, so
+        the clusters ready at ``t`` are served in ascending order before
+        time advances: the exact (time, cluster) sequence of the heap.
 
         The vectorization lives where the data is wide, not in the
         (inherently sequential, 16-entry) scheduler state: per-request
@@ -234,8 +233,8 @@ class GpuPipeline:
         bit-identical to per-event ``observe``, and float max is
         order-independent.  Profiling drove this split: ready sets are
         singletons in steady state (cluster clocks drift apart after
-        the first few cycles), so numpy state arrays per round cost
-        more than they save.
+        the first few cycles), so numpy state arrays per step cost more
+        than they save.
         """
         config = self.config
         num_clusters = config.num_clusters
@@ -250,7 +249,6 @@ class GpuPipeline:
 
         session = path.begin_replay(expansion)
         serve_one = session.serve_one
-        serve_chunk = session.serve_chunk
         infinity = float("inf")
         cursor = [0] * num_clusters
         inflight: List[List[float]] = [[] for _ in range(num_clusters)]
@@ -263,75 +261,32 @@ class GpuPipeline:
             for cluster in range(num_clusters)
         ]
         completion_log: List[float] = []
-        round_times: List[float] = []
-        round_sizes: List[int] = []
+        issue_log: List[float] = []
 
         while remaining:
             now = min(ready_at)
-            if ready_at.count(now) == 1:
-                # Steady-state fast path: cluster clocks drift apart
-                # after the first few cycles, so nearly every round
-                # serves exactly one cluster.
-                cluster = ready_at.index(now)
-                position = cursor[cluster]
-                completion = serve_one(
-                    cluster, now, per_cluster[cluster][position]
-                )
-                completion_log.append(completion)
-                round_times.append(now)
-                round_sizes.append(1)
-                window = inflight[cluster]
-                window.append(completion)
-                if len(window) > depth:
-                    del window[0]
-                position += 1
-                cursor[cluster] = position
-                next_time = now + 1.0
-                if position < lengths[cluster]:
-                    gate = window[-depth] if len(window) >= depth else 0.0
-                    ready_at[cluster] = (
-                        gate if gate > next_time else next_time
-                    )
-                else:
-                    ready_at[cluster] = infinity
-                remaining -= 1
-                continue
-            ready = [
-                cluster
-                for cluster in range(num_clusters)
-                if ready_at[cluster] == now
-            ]
-            indices = [
-                per_cluster[cluster][cursor[cluster]] for cluster in ready
-            ]
-            served = serve_chunk(ready, now, indices)
-            completion_log.extend(served)
-            round_times.append(now)
-            round_sizes.append(len(ready))
+            cluster = ready_at.index(now)
+            position = cursor[cluster]
+            completion = serve_one(cluster, now, per_cluster[cluster][position])
+            completion_log.append(completion)
+            issue_log.append(now)
+            window = inflight[cluster]
+            window.append(completion)
+            if len(window) > depth:
+                del window[0]
+            position += 1
+            cursor[cluster] = position
             next_time = now + 1.0
-            for cluster, completion in zip(ready, served):
-                window = inflight[cluster]
-                window.append(completion)
-                if len(window) > depth:
-                    del window[0]
-                position = cursor[cluster] + 1
-                cursor[cluster] = position
-                if position < lengths[cluster]:
-                    gate = window[-depth] if len(window) >= depth else 0.0
-                    ready_at[cluster] = (
-                        gate if gate > next_time else next_time
-                    )
-                else:
-                    ready_at[cluster] = infinity
-            remaining -= len(ready)
+            if position < lengths[cluster]:
+                gate = window[-depth] if len(window) >= depth else 0.0
+                ready_at[cluster] = gate if gate > next_time else next_time
+            else:
+                ready_at[cluster] = infinity
+            remaining -= 1
 
         session.finish()
-        completions = np.asarray(completion_log, dtype=np.float64)  # repro: noqa(REP403) -- round count is data-dependent (each round's ready set depends on prior completions), so the log cannot be preallocated; one conversion at drain end
-        issues = np.repeat(
-            np.asarray(round_times, dtype=np.float64),  # repro: noqa(REP403) -- grows one entry per scheduling round, not per fragment; size unknown until the drain terminates
-            np.asarray(round_sizes, dtype=np.int64),  # repro: noqa(REP403) -- ditto; paired with round_times to expand per-round issue times to per-fragment
-        )
-        latencies = completions - issues
+        completions = np.asarray(completion_log, dtype=np.float64)
+        latencies = completions - np.asarray(issue_log, dtype=np.float64)
         if bool(np.any(latencies < 0)):
             raise RuntimeError("texture path completed before issue")
         histogram.observe_batch(latencies)

@@ -17,8 +17,7 @@ The observability layer for the reproduction's *host-side* phases:
 * :mod:`~repro.obs.snapshot` -- StatGroup snapshots of drained frames,
   design runs and whole runners.
 * :mod:`~repro.obs.attribution` -- span-tree -> per-name wall-clock
-  cost table (inclusive/exclusive seconds), consumed by the REP400
-  profile-guided linter ranking.
+  cost table (inclusive/exclusive seconds) for per-layer time shares.
 """
 
 from repro.obs.attribution import (

@@ -5,9 +5,9 @@ The run manifest embeds the tracer's span forest
 ``name`` (``timed_stage`` uses ``module.qualname``, manual spans use
 dotted stage names like ``render.rasterize``), a monotonic
 ``duration`` and nested ``children``.  This module folds that forest
-into a flat per-name cost table so consumers -- chiefly the REP400
-profile-guided linter ranking -- can ask "what share of the run did
-this code account for?" without walking trees themselves.
+into a flat per-name cost table so consumers -- the benchmark's layer
+ledger -- can ask "what share of the run did this code account for?"
+without walking trees themselves.
 
 Two costs per name, the classic profiler pair:
 

@@ -10,7 +10,7 @@ it.
   the reference for the columnar
   :class:`~repro.core.expansion.ExpansionColumns`;
 * :func:`replay_scalar` -- the one-event-at-a-time heap scheduler that
-  :meth:`GpuPipeline.replay_texture_stream` drains per timestamp;
+  :meth:`GpuPipeline.replay_texture_stream` replays without a heap;
 * :func:`rasterize_scalar` -- per-pixel fragment emission and
   per-fragment footprints, the reference for the SoA
   :class:`~repro.render.raster.FragmentBatch` stream;

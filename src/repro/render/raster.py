@@ -306,7 +306,7 @@ class Rasterizer:
         )
         tiles_x = batch.x // self.tile_size
         tiles_y = batch.y // self.tile_size
-        return [  # repro: noqa(REP400) -- AoS bridge to the FragmentTrace record format: frozen-dataclass materialisation only, every float column above is batched
+        return [
             TextureRequest(
                 pixel_x=int(batch.x[index]),
                 pixel_y=int(batch.y[index]),
@@ -335,10 +335,9 @@ class Rasterizer:
 
         # --- geometry: transform, clip, project ------------------------
         # Homogeneous positions and texel-space UVs for all three
-        # vertices at once (REP403: the per-vertex np.append/np.array
-        # allocations used to run inside the loop).  Row-wise this is
-        # the same IEEE-754 arithmetic as the per-vertex form, so the
-        # clip vertices are bit-identical.
+        # vertices at once.  Row-wise this is the same IEEE-754
+        # arithmetic as the per-vertex form, so the clip vertices are
+        # bit-identical.
         positions = np.concatenate(
             [triangle.vertices, np.ones((3, 1))], axis=1
         )
@@ -387,7 +386,7 @@ class Rasterizer:
         # Screen coordinates (pixel centres at integer + 0.5).
         screen = np.zeros((3, 2))
         inv_w = np.zeros(3)
-        for index, vertex in enumerate(trio):  # repro: noqa(REP400) -- bounded by the 3 vertices of a triangle, not by fragment count
+        for index, vertex in enumerate(trio):
             w = vertex[3]
             if w <= 0:
                 return None  # guarded by clipping; degenerate numeric case
@@ -505,7 +504,9 @@ class Rasterizer:
             pixel_x[visible], pixel_y[visible], depth[visible], w_value[visible],
         )
         b0, b1, b2 = b0[visible], b1[visible], b2[visible]
-        framebuffer.depth[pixel_y, pixel_x] = depth  # repro: noqa(REP404) -- pixel coordinates within one triangle are unique (top-left fill rule), so no duplicate indices exist
+        # Pixel coordinates within one triangle are unique (top-left fill
+        # rule), so the scatter has no duplicate indices.
+        framebuffer.depth[pixel_y, pixel_x] = depth
 
         numerators = (
             b0[:, None] * attrs_over_w[0]

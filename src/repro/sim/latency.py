@@ -93,8 +93,11 @@ class LatencyHistogram:
         if bool(np.any(latencies < 0)):
             raise ValueError("negative latency")
         self.count += int(latencies.size)
+        # np.cumsum is a strict sequential accumulation (no pairwise tree,
+        # unlike np.sum); prepending the running total makes this exactly
+        # the oracle's ordered left fold, bit for bit.
         self.total = Cycles(
-            float(np.cumsum(np.concatenate(([self.total], latencies)))[-1])  # repro: noqa(REP404) -- np.cumsum is a strict sequential accumulation (no pairwise tree, unlike np.sum); prepending the running total makes this exactly the oracle's ordered left fold, bit for bit
+            float(np.cumsum(np.concatenate(([self.total], latencies)))[-1])
         )
         batch_max = float(np.max(latencies))
         if batch_max > self.max_latency:

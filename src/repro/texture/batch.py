@@ -248,7 +248,7 @@ def bilinear_batch(
             (x0, y0 + 1, (1.0 - fx) * fy),
             (x0 + 1, y0 + 1, fx * fy),
         )
-        acc = np.zeros((len(sel), 4), dtype=np.float64)  # repro: noqa(REP403) -- one accumulator per unique mip level, O(levels) not O(texels); the whole batch for this level shares it
+        acc = np.zeros((len(sel), 4), dtype=np.float64)
         for tap_x, tap_y, tap_weight in taps:
             xs = tap_x % mip.width
             ys = tap_y % mip.height
@@ -367,7 +367,7 @@ def anisotropic_batch(
     for count in np.unique(batch.probes):
         sel = np.nonzero(batch.probes == count)[0]
         blend = level_blend_arrays(chain, batch.lod[sel])
-        acc = np.zeros((len(sel), 4), dtype=np.float64)  # repro: noqa(REP403) -- one accumulator per unique probe count, O(counts) not O(texels); the whole batch for this count shares it
+        acc = np.zeros((len(sel), 4), dtype=np.float64)
         for index in range(int(count)):
             acc += trilinear_batch(
                 chain,

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main as analysis_main
+from repro.analysis.cli import DEFAULT_LINT_TARGETS, main as analysis_main
 from repro.analysis.invariants import check_run
-from repro.analysis.linter import lint_paths
+from repro.analysis.linter import _parse_noqa, lint_paths
+from repro.analysis.rules import rule_catalog
 from repro.core import Design, simulate_frame, simulate_sequence
 from repro.core.frontend import DesignRun
 
@@ -29,6 +33,44 @@ class TestLintOnRepo:
         exit_code = analysis_main(["lint", str(REPO_ROOT / "src" / "repro")])
         assert exit_code == 0
         assert "clean" in capsys.readouterr().out
+
+    def test_every_waiver_names_a_known_rule(self):
+        """A suppression of a retired or misspelt rule ID is dead."""
+        known = {rule_id for rule_id, _name, _description in rule_catalog()}
+        dead = []
+        for target in DEFAULT_LINT_TARGETS:
+            for path in sorted((REPO_ROOT / target).rglob("*.py")):
+                source = path.read_text(encoding="utf-8")
+                for line, rule_ids in _parse_noqa(source).items():
+                    dead.extend(
+                        f"{path.relative_to(REPO_ROOT)}:{line}: {rule_id}"
+                        for rule_id in sorted(rule_ids - known)
+                    )
+        assert dead == [], "\n".join(dead)
+
+
+class TestImportIsolation:
+    def test_simulator_import_loads_no_lint_engine(self):
+        """Importing the simulator and its invariants stays lint-free."""
+        probe = (
+            "import sys\n"
+            "import repro.core.frontend, repro.analysis.invariants\n"
+            "for name in ('linter', 'rules', 'units', 'determinism'):\n"
+            "    print(name, f'repro.analysis.{name}' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "linter", "False", "rules", "False",
+            "units", "False", "determinism", "False",
+        ]
 
 
 class TestSeededViolations:

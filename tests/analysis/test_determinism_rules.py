@@ -11,27 +11,17 @@ and nondeterminism taint propagated through a helper defined in a
 from __future__ import annotations
 
 import textwrap
-from pathlib import Path
 
-from repro.analysis.baseline import (
-    filter_new,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.cli import main as analysis_main
 from repro.analysis.determinism import (
     DETERMINISM_RULE_TABLE,
     determinism_rule_ids,
     static_determinism_attestation,
 )
-from repro.analysis.findings import Finding
 from repro.analysis.linter import lint_source, lint_sources
 from repro.analysis.rules import rule_catalog, rule_ids
 from repro.analysis.sarif import findings_to_sarif
 
 SIM_PATH = "src/repro/sim/example.py"
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def findings_for(source: str, path: str = SIM_PATH):
@@ -439,66 +429,3 @@ class TestAttestation:
         assert attestation["rules"] == determinism_rule_ids()
         assert attestation["clean"] is True
         assert attestation["findings"] == []
-
-
-class TestBaseline:
-    def _finding(self, rule_id="REP304", line=4,
-                 path="src/repro/sim/example.py", message="env read"):
-        return Finding(rule_id=rule_id, path=path, line=line, column=5,
-                       message=message)
-
-    def test_round_trip_suppresses_known(self, tmp_path):
-        findings = [self._finding(), self._finding(rule_id="REP301",
-                                                   message="mutation")]
-        path = write_baseline(findings, tmp_path / "base.json")
-        baseline = load_baseline(path)
-        assert filter_new(findings, baseline) == []
-
-    def test_line_moves_do_not_invalidate(self, tmp_path):
-        path = write_baseline([self._finding(line=4)],
-                              tmp_path / "base.json")
-        moved = self._finding(line=40)
-        assert filter_new([moved], load_baseline(path)) == []
-
-    def test_second_occurrence_is_new(self, tmp_path):
-        path = write_baseline([self._finding()], tmp_path / "base.json")
-        doubled = [self._finding(line=4), self._finding(line=9)]
-        fresh = filter_new(doubled, load_baseline(path))
-        assert len(fresh) == 1
-        assert fresh[0].line == 9
-
-    def test_unknown_finding_is_new(self, tmp_path):
-        path = write_baseline([self._finding()], tmp_path / "base.json")
-        other = self._finding(rule_id="REP300", message="taint")
-        assert filter_new([other], load_baseline(path)) == [other]
-
-    def test_cli_write_then_gate(self, tmp_path, capsys):
-        planted = tmp_path / "src" / "repro" / "sim"
-        planted.mkdir(parents=True)
-        bad = planted / "bad.py"
-        bad.write_text(textwrap.dedent(
-            """
-            import os
-
-            def run_fanout(tasks):
-                return os.environ.get("REPRO_MODE")
-            """
-        ), encoding="utf-8")
-        base = tmp_path / "lint-baseline.json"
-
-        assert analysis_main(["lint", str(bad)]) == 1
-        capsys.readouterr()
-        assert analysis_main(
-            ["lint", str(bad), "--write-baseline", str(base)]
-        ) == 0
-        capsys.readouterr()
-        assert analysis_main(["lint", str(bad), "--baseline", str(base)]) == 0
-        out = capsys.readouterr()
-        assert "clean" in out.out
-        assert "suppressed" in out.err
-
-    def test_cli_rejects_missing_baseline(self, tmp_path):
-        assert analysis_main(
-            ["lint", str(REPO_ROOT / "src" / "repro" / "analysis"),
-             "--baseline", str(tmp_path / "nope.json")]
-        ) == 2

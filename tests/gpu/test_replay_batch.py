@@ -1,9 +1,9 @@
 """Bit-identity of the batched replay scheduler against the scalar oracle.
 
-``GpuPipeline.replay_texture_stream`` drains every heap event ready at
-one timestamp as a chunk through ``ReplaySession.serve_chunk``; the
-one-event-at-a-time heap loop ``repro.perf.oracles.replay_scalar`` is
-the oracle.  The
+``GpuPipeline.replay_texture_stream`` serves one request per step
+through ``ReplaySession.serve_one``, tracking each cluster's next-issue
+time in a flat list instead of a heap; the heap loop
+``repro.perf.oracles.replay_scalar`` is the oracle.  The
 contract is exact equality -- not approximate -- across every observable
 the replay produces: makespan, the latency histogram (total, count, max,
 buckets), per-cluster fragment counts, external memory traffic, unit
@@ -149,7 +149,7 @@ class TestDegenerateStreams:
         assert batched["latency_count"] == count
 
     def test_depth_one_serialises_each_cluster(self, frame):
-        """depth=1 exercises the singleton fast path on every round."""
+        """depth=1 gates every cluster on its previous completion."""
         expanded = pick_expansions(Design.BASELINE, frame)
         scalar = replay(Design.BASELINE, 1, frame["trace"], expanded, False)
         batched = replay(Design.BASELINE, 1, frame["trace"], expanded, True)
@@ -157,42 +157,6 @@ class TestDegenerateStreams:
 
 
 class TestSessionContract:
-    def test_serve_chunk_matches_serve_one(self, frame):
-        """Chunked serving is the same fold as one-at-a-time serving."""
-        expanded = pick_expansions(Design.BASELINE, frame)
-        gpu = small_gpu(4)
-
-        def run(chunked):
-            traffic = TrafficMeter()
-            path = make_texture_path(
-                DesignConfig(design=Design.BASELINE, gpu=gpu), traffic
-            )
-            session = path.begin_replay(expanded)
-            indices = list(range(len(expanded)))
-            clusters = [i % 4 for i in indices]
-            if chunked:
-                completions = []
-                for start in range(0, len(indices), 7):
-                    completions.extend(session.serve_chunk(
-                        clusters[start:start + 7],
-                        float(start),
-                        indices[start:start + 7],
-                    ))
-            else:
-                completions = [
-                    session.serve_one(clusters[i], float(i - i % 7), i)
-                    for i in indices
-                ]
-            session.finish()
-            return completions, observe(
-                path, traffic, 0.0, _EmptyHistogram(), ()
-            )
-
-        chunked, state_chunked = run(True)
-        single, state_single = run(False)
-        assert chunked == single
-        assert state_chunked == state_single
-
     def test_finish_flushes_counters(self, frame):
         """Counters observed before finish() must not include the session."""
         expanded = pick_expansions(Design.BASELINE, frame)
@@ -202,7 +166,8 @@ class TestSessionContract:
             DesignConfig(design=Design.BASELINE, gpu=gpu), traffic
         )
         session = path.begin_replay(expanded)
-        session.serve_chunk([0, 1], 0.0, [0, 1])
+        session.serve_one(0, 0.0, 0)
+        session.serve_one(1, 0.0, 1)
         before = path.activity()
         requests_before = (before.gpu_texture.requests
                            + before.memory_texture.requests)
@@ -211,10 +176,3 @@ class TestSessionContract:
         requests_after = (after.gpu_texture.requests
                           + after.memory_texture.requests)
         assert requests_after == requests_before + 2
-
-
-class _EmptyHistogram:
-    total = 0.0
-    count = 0
-    max_latency = 0.0
-    buckets = ()
