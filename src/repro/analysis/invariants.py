@@ -17,7 +17,7 @@ counters, so the counters themselves must obey conservation laws:
 * ``cache-sanity`` — cache hit/miss accounting is internally consistent
   and hit rates stay inside [0, 1].
 
-One further drain-time invariant operates on the functional sampler
+Two further drain-time invariants operate on the functional sampler
 rather than on a :class:`~repro.core.frontend.DesignRun`:
 
 * ``batch-fetch-parity`` — the batched (numpy-vectorised) filtering
@@ -25,7 +25,12 @@ rather than on a :class:`~repro.core.frontend.DesignRun`:
   the scalar oracle and touch exactly the same per-fragment texel sets
   (hence equal fetch counts).  The batched renderer validates a
   deterministic sample of every frame at drain time via
-  :func:`check_batch_scalar_parity` when checking is enabled.
+  :func:`check_batch_scalar_parity` when checking is enabled;
+* ``atfim-parent-reuse`` — an A-TFIM frame's parent slots are each
+  either reused or recalculated (reuses + recalculations = slots
+  shaded), and a sample of its recalculated parent values is
+  bit-identical to the scalar ``filter_parent_texel``
+  (:func:`check_atfim_parent_reuse`).
 
 Checks run against a finished :class:`~repro.core.frontend.DesignRun`
 (drain time: all events retired, all counters final).  Enable them with
@@ -350,6 +355,52 @@ def check_batch_scalar_parity(
                     message=(
                         f"request {index}: fetch sets diverge "
                         f"(batch-only {extra}, scalar-only {missing})"
+                    ),
+                )
+            )
+    if violations and raise_on_violation:
+        raise InvariantError(violations)
+    return violations
+
+
+ATFIM_REUSE_INVARIANT = "atfim-parent-reuse"
+
+
+def check_atfim_parent_reuse(
+    reuses: int,
+    recalculations: int,
+    parent_slots: int,
+    samples: List[tuple],
+    raise_on_violation: bool = True,
+) -> List[InvariantViolation]:
+    """Validate one A-TFIM shaded batch's parent bookkeeping.
+
+    Every parent slot shaded is either a reuse or a recalculation, so
+    ``reuses + recalculations == parent_slots``.  ``samples`` holds
+    ``(entry, batch_value, scalar_value)`` tuples for a sample of the
+    recalculated parents; a violation is reported when a value differs
+    from the scalar oracle's in any bit.
+    """
+    violations: List[InvariantViolation] = []
+    if reuses < 0 or recalculations < 0 or reuses + recalculations != parent_slots:
+        violations.append(
+            InvariantViolation(
+                invariant=ATFIM_REUSE_INVARIANT,
+                message=(
+                    f"{reuses} reuses + {recalculations} recalculations "
+                    f"!= {parent_slots} parent slots shaded"
+                ),
+            )
+        )
+    for entry, batch_value, scalar_value in samples:
+        if tuple(batch_value) != tuple(scalar_value):
+            violations.append(
+                InvariantViolation(
+                    invariant=ATFIM_REUSE_INVARIANT,
+                    message=(
+                        f"recalculated parent {entry}: batch value "
+                        f"{tuple(batch_value)} != scalar value "
+                        f"{tuple(scalar_value)}"
                     ),
                 )
             )

@@ -14,39 +14,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.core.angle import THRESHOLD_SWEEP, AngleThreshold
 from repro.experiments.common import FigureData
 from repro.experiments.runner import ExperimentRunner
 from repro.quality import psnr
 from repro.render.renderer import SamplingMode
-from repro.workloads import GameWorkload
-
-
-def render_pair(
-    workload: GameWorkload, threshold: AngleThreshold
-) -> tuple[np.ndarray, np.ndarray]:
-    """Render (reference, A-TFIM) images for one workload/threshold.
-
-    The quality model applies the paper's threshold *unscaled*: the
-    error a stale reused parent introduces is governed by the absolute
-    angle difference the threshold permits, which is resolution
-    independent.  (The performance model scales the threshold by
-    ``sim_scale`` instead, because recalculation *rates* depend on the
-    per-cache-line angle gradient, which the miniature inflates --
-    DESIGN.md section 5.)
-    """
-    built = workload.build()
-    renderer = workload.make_renderer()
-    reference = renderer.render(built.scene, built.camera, SamplingMode.EXACT)
-    approximate = renderer.render(
-        built.scene,
-        built.camera,
-        SamplingMode.ATFIM,
-        angle_threshold=threshold.effective_radians,
-    )
-    return reference.image, approximate.image
 
 
 def run(
@@ -75,6 +47,13 @@ def run(
             built.scene, built.camera, SamplingMode.EXACT
         ).image
         values: Dict[str, float] = {}
+        # The quality model applies the paper's threshold *unscaled*:
+        # the error a stale reused parent introduces is governed by the
+        # absolute angle difference the threshold permits, which is
+        # resolution independent.  (The performance model scales the
+        # threshold by ``sim_scale`` instead, because recalculation
+        # *rates* depend on the per-cache-line angle gradient, which the
+        # miniature inflates -- DESIGN.md section 5.)
         for threshold in thresholds:
             approximate = renderer.render(
                 built.scene,

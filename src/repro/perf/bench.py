@@ -5,9 +5,11 @@ The scalar rasterizer and replay baselines are the reference
 implementations in :mod:`repro.perf.oracles`:
 
 ``BENCH_sampling.json``
-    Per workload: trace generation (SoA rasterizer vs the scalar oracle) and
-    the exact/isotropic sampler paths (batched kernels vs the scalar
-    reference), with a bit-identity check on every color produced.
+    Per workload: trace generation (SoA rasterizer vs the scalar oracle)
+    and the exact, isotropic, reordered and A-TFIM shading paths
+    (batched kernels vs the scalar reference; A-TFIM at every
+    ``THRESHOLD_SWEEP`` threshold), with a bit-identity check on every
+    color produced and, for A-TFIM, on the reuse/recalculation counts.
 ``BENCH_runner.json``
     A figure-suite slice (Fig. 10) through :class:`ExperimentRunner`
     cold (empty disk cache) and warm (second process over the same
@@ -55,6 +57,9 @@ BENCH_TRACING_FILENAME = "BENCH_tracing.json"
 BENCH_FRAME_FILENAME = "BENCH_frame.json"
 BENCH_SWEEP_FILENAME = "BENCH_sweep.json"
 
+SAMPLING_PATHS = ("exact", "isotropic", "reordered", "atfim")
+"""The shading paths :func:`bench_sampling` times and checks."""
+
 
 def _geomean(values: Sequence[float]) -> float:
     positives = [v for v in values if v > 0]
@@ -75,16 +80,29 @@ def bench_sampling(
 ) -> Dict[str, Any]:
     """Time the scalar vs batched sampler on real frame traces.
 
-    For every workload the full request trace is filtered twice per
+    For every workload the full request trace is shaded twice per
     path -- once through the scalar reference functions, once through
     the :mod:`repro.texture.batch` kernels -- and the resulting colors
-    are compared bit for bit.
+    are compared bit for bit.  The paths are ``exact``, ``isotropic``,
+    ``reordered`` and ``atfim``; ``atfim`` runs once per
+    :data:`~repro.core.angle.THRESHOLD_SWEEP` threshold, through the
+    angle-tagged parent store of :mod:`repro.perf.oracles` on the
+    scalar side, and also requires equal reuse and recalculation counts.
     """
+    from repro.core.angle import THRESHOLD_SWEEP
     from repro.experiments.cache import source_version
     from repro.experiments.runner import FAST_WORKLOADS
-    from repro.perf.oracles import trace_only_scalar
+    from repro.perf.oracles import (
+        _AngleTaggedParentStore,
+        _shade_atfim,
+        trace_only_scalar,
+    )
     from repro.texture.batch import BatchSampler, RequestBatch
-    from repro.texture.sampling import anisotropic_sample, trilinear_sample
+    from repro.texture.sampling import (
+        anisotropic_first_sample,
+        anisotropic_sample,
+        trilinear_sample,
+    )
     from repro.workloads import workload_by_name
 
     names = list(workload_names or FAST_WORKLOADS)
@@ -129,32 +147,44 @@ def bench_sampling(
                 scene.mipmap_chain(texture_id),
                 indices,
                 RequestBatch.from_requests([requests[i] for i in indices]),
+                np.array(
+                    [requests[i].camera_angle for i in indices],
+                    dtype=np.float64,
+                ),
             )
             for texture_id, indices in by_texture.items()
         ]
 
-        for path, scalar_fn in (
-            ("exact", lambda c, r: anisotropic_sample(c, r.footprint, r.u, r.v)),
+        for path, scalar_fn, batch_fn in (
+            (
+                "exact",
+                lambda c, r: anisotropic_sample(c, r.footprint, r.u, r.v),
+                BatchSampler.sample_exact,
+            ),
             (
                 "isotropic",
                 lambda c, r: trilinear_sample(c, r.footprint.lod, r.u, r.v),
+                BatchSampler.sample_isotropic,
+            ),
+            (
+                "reordered",
+                lambda c, r: anisotropic_first_sample(
+                    c, r.footprint, r.u, r.v
+                ),
+                BatchSampler.sample_reordered,
             ),
         ):
             scalar_colors = np.zeros((len(requests), 4), dtype=np.float64)
             started = time.perf_counter()
-            for chain, indices, _batch in groups:
+            for chain, indices, _batch, _angles in groups:
                 for i in indices:
                     scalar_colors[i] = scalar_fn(chain, requests[i])
             scalar_seconds = time.perf_counter() - started
 
             batch_colors = np.zeros((len(requests), 4), dtype=np.float64)
             started = time.perf_counter()
-            for chain, indices, batch in groups:
-                sampler = BatchSampler(chain)
-                if path == "exact":
-                    batch_colors[indices] = sampler.sample_exact(batch)
-                else:
-                    batch_colors[indices] = sampler.sample_isotropic(batch)
+            for chain, indices, batch, _angles in groups:
+                batch_colors[indices] = batch_fn(BatchSampler(chain), batch)
             batch_seconds = time.perf_counter() - started
 
             entry[path] = {
@@ -165,19 +195,65 @@ def bench_sampling(
                     np.array_equal(scalar_colors, batch_colors)
                 ),
             }
+
+        thresholds: List[Dict[str, Any]] = []
+        for threshold in THRESHOLD_SWEEP:
+            radians = threshold.effective_radians
+            scalar_colors = np.zeros((len(requests), 4), dtype=np.float64)
+            store = _AngleTaggedParentStore(threshold=radians)
+            started = time.perf_counter()
+            for chain, indices, _batch, _angles in groups:
+                for i in indices:
+                    scalar_colors[i] = _shade_atfim(chain, requests[i], store)
+            scalar_seconds = time.perf_counter() - started
+
+            batch_colors = np.zeros((len(requests), 4), dtype=np.float64)
+            reuses = recalculations = 0
+            started = time.perf_counter()
+            for chain, indices, batch, angles in groups:
+                shade = BatchSampler(chain).sample_atfim(batch, angles, radians)
+                batch_colors[indices] = shade.colors
+                reuses += shade.reuses
+                recalculations += shade.recalculations
+            batch_seconds = time.perf_counter() - started
+
+            thresholds.append({
+                "threshold": threshold.label,
+                "scalar_seconds": scalar_seconds,
+                "batch_seconds": batch_seconds,
+                "reuses": reuses,
+                "recalculations": recalculations,
+                "bit_identical": bool(
+                    np.array_equal(scalar_colors, batch_colors)
+                ),
+                "identical_counts": (reuses, recalculations)
+                == (store.reuses, store.recalculations),
+            })
+        scalar_total = sum(t["scalar_seconds"] for t in thresholds)
+        batch_total = sum(t["batch_seconds"] for t in thresholds)
+        entry["atfim"] = {
+            "scalar_seconds": scalar_total,
+            "batch_seconds": batch_total,
+            "speedup_vs_scalar": _speedup(scalar_total, batch_total),
+            "bit_identical": all(
+                t["bit_identical"] and t["identical_counts"] for t in thresholds
+            ),
+            "thresholds": thresholds,
+        }
         workload_results.append(entry)
 
     exact_speedups = [w["exact"]["speedup_vs_scalar"] for w in workload_results]
     return {
-        "schema": "repro-bench-sampling/1",
+        "schema": "repro-bench-sampling/2",
         "source_version": source_version(),
         "workloads": workload_results,
         "summary": {
             "min_exact_speedup": min(exact_speedups),
             "geomean_exact_speedup": _geomean(exact_speedups),
             "bit_identical": all(
-                w["exact"]["bit_identical"] and w["isotropic"]["bit_identical"]
+                w[path]["bit_identical"]
                 for w in workload_results
+                for path in SAMPLING_PATHS
             ),
         },
     }
@@ -615,6 +691,8 @@ def run_bench(
         print(
             f"{workload['name']:24s} exact {workload['exact']['speedup_vs_scalar']:5.1f}x  "
             f"isotropic {workload['isotropic']['speedup_vs_scalar']:5.1f}x  "
+            f"reordered {workload['reordered']['speedup_vs_scalar']:5.1f}x  "
+            f"atfim {workload['atfim']['speedup_vs_scalar']:5.1f}x  "
             f"raster {workload.get('trace', {}).get('speedup_vs_scalar', 0.0):5.1f}x  "
             f"({workload['requests']} requests)"
         )
@@ -696,7 +774,11 @@ def run_bench(
     print(f"wrote {sweep_path}")
 
     if not summary["bit_identical"]:
-        print("FAIL: batched sampler output is not bit-identical to scalar")
+        print(
+            "FAIL: batched sampler output is not bit-identical to scalar "
+            "(or A-TFIM reuse/recalculation counts differ; see "
+            "BENCH_sampling.json)"
+        )
         return 1
     if summary["min_exact_speedup"] < min_speedup:
         print(

@@ -15,8 +15,11 @@ it.
   per-fragment footprints, the reference for the SoA
   :class:`~repro.render.raster.FragmentBatch` stream;
 * :func:`trace_only_scalar` / :func:`render_scalar` -- whole frames
-  through the scalar rasterizer, with every fragment shaded by the
-  scalar samplers of :mod:`repro.texture.sampling`.
+  through the scalar rasterizer, with every fragment shaded one at a
+  time by the scalar samplers of :mod:`repro.texture.sampling` and, for
+  A-TFIM, a dict-backed angle-tagged parent store
+  (:class:`_AngleTaggedParentStore`), the reference for
+  :func:`~repro.texture.batch.atfim_batch`.
 
 Each oracle borrows the production object's configuration and shared
 setup (cluster partition, clipping and triangle scan, shading
@@ -26,7 +29,7 @@ functions), so the only code that differs is the code under test.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,22 +39,26 @@ from repro.gpu.pipeline import GpuPipeline
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
 from repro.render.raster import RasterFragment, Rasterizer, _TriangleScan
-from repro.render.renderer import (
-    RenderOutput,
-    Renderer,
-    SamplingMode,
-    _AngleTaggedParentStore,
-)
+from repro.render.renderer import RenderOutput, Renderer, SamplingMode
 from repro.render.scene import Scene
 from repro.sim.latency import LatencyHistogram
 from repro.texture.address import TexelAddressMap
-from repro.texture.lod import camera_angle_from_normal, compute_footprint
+from repro.texture.lod import (
+    camera_angle_from_normal,
+    compute_footprint,
+    quantize_angle,
+)
+from repro.texture.mipmap import MipmapChain
 from repro.texture.requests import FragmentTrace, TextureRequest
 from repro.texture.sampling import (
+    anisotropic_first_sample,
+    anisotropic_sample,
     child_texel_coords,
+    filter_parent_texel,
     level_blend_for,
     parent_texel_coords,
     probe_offsets,
+    trilinear_sample,
 )
 
 
@@ -342,7 +349,8 @@ def trace_only_scalar(
     """Reference for :meth:`Renderer.trace_only` via the scalar rasterizer."""
     framebuffer = Framebuffer(renderer.width, renderer.height)
     shaded = rasterize_scalar(renderer.rasterizer, scene, camera, framebuffer)
-    return renderer._output(framebuffer, [request for _, request in shaded])
+    requests = [request for _, request in shaded]
+    return renderer._output(framebuffer, lambda: requests)
 
 
 def render_scalar(
@@ -359,7 +367,108 @@ def render_scalar(
     parent_store = None
     if mode is SamplingMode.ATFIM:
         parent_store = _AngleTaggedParentStore(threshold=angle_threshold)
-    renderer._shade_each(scene, shaded, mode, parent_store, framebuffer)
-    return renderer._output(
-        framebuffer, [request for _, request in shaded], parent_store
-    )
+    _shade_each(scene, shaded, mode, parent_store, framebuffer)
+    requests = [request for _, request in shaded]
+    counts = (0, 0)
+    if parent_store is not None:
+        counts = (parent_store.reuses, parent_store.recalculations)
+    return renderer._output(framebuffer, lambda: requests, *counts)
+
+
+class _AngleTaggedParentStore:
+    """Functional model of A-TFIM's angle-tagged parent-texel reuse.
+
+    Keys are parent texel identities ``(texture, level, x, y)``; values
+    are the filtered parent value and the (quantised) camera angle it was
+    filtered under.  A lookup whose angle differs by more than the
+    threshold recalculates, exactly mirroring the architectural cache
+    policy in :mod:`repro.texture.cache` -- but holding *values*, because
+    the functional path needs the possibly-stale colors to measure their
+    quality impact.
+    """
+
+    def __init__(self, threshold: float) -> None:
+        if threshold < 0:
+            raise ValueError("threshold must be non-negative")
+        self.threshold = threshold
+        self._store: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, float]] = {}
+        self.reuses = 0
+        self.recalculations = 0
+
+    def lookup(
+        self, key: Tuple[int, int, int, int], angle: float
+    ) -> Optional[np.ndarray]:
+        quantised = quantize_angle(angle)
+        entry = self._store.get(key)
+        if entry is None:
+            return None
+        value, stored_angle = entry
+        if abs(stored_angle - quantised) <= self.threshold:
+            self.reuses += 1
+            return value
+        return None
+
+    def store(self, key: Tuple[int, int, int, int], angle: float,
+              value: np.ndarray) -> None:
+        quantised = quantize_angle(angle)
+        self._store[key] = (value, quantised)
+        self.recalculations += 1
+
+
+def _shade_each(
+    scene: Scene,
+    shaded: List[Tuple[RasterFragment, TextureRequest]],
+    mode: SamplingMode,
+    parent_store: Optional[_AngleTaggedParentStore],
+    framebuffer: Framebuffer,
+) -> None:
+    """Shade and write fragments one at a time, in submission order
+    (the order A-TFIM's parent reuse depends on)."""
+    for fragment, request in shaded:
+        chain = scene.mipmap_chain(request.texture_id)
+        color = _shade(chain, request, mode, parent_store)
+        framebuffer.write(fragment.x, fragment.y, fragment.depth, color)
+
+
+def _shade(
+    chain: MipmapChain,
+    request: TextureRequest,
+    mode: SamplingMode,
+    parent_store: Optional[_AngleTaggedParentStore],
+) -> np.ndarray:
+    """One fragment's color under ``mode``."""
+    footprint = request.footprint
+    if mode is SamplingMode.EXACT:
+        return anisotropic_sample(chain, footprint, request.u, request.v)
+    if mode is SamplingMode.REORDERED:
+        return anisotropic_first_sample(chain, footprint, request.u, request.v)
+    if mode is SamplingMode.ISOTROPIC:
+        return trilinear_sample(chain, footprint.lod, request.u, request.v)
+    if mode is SamplingMode.ATFIM:
+        return _shade_atfim(chain, request, parent_store)
+    raise ValueError(f"unknown sampling mode {mode}")
+
+
+def _shade_atfim(
+    chain: MipmapChain,
+    request: TextureRequest,
+    parent_store: _AngleTaggedParentStore,
+) -> np.ndarray:
+    """A-TFIM shading with angle-threshold parent reuse.
+
+    For each parent texel: reuse the stored value when the angle
+    matches within the threshold; otherwise recalculate it from its
+    child texels under *this* request's footprint and store it.
+    """
+    footprint = request.footprint
+    parents = parent_texel_coords(chain, footprint.lod, request.u, request.v)
+    color = np.zeros(4, dtype=np.float64)
+    for level, x, y, weight in parents:
+        mip = chain.level(level)
+        key = (request.texture_id, level, x % mip.width, y % mip.height)
+        value = parent_store.lookup(key, request.camera_angle)
+        if value is None:
+            value = filter_parent_texel(chain, footprint, level, x, y)
+            parent_store.store(key, request.camera_angle, value)
+        color += weight * value
+    return color

@@ -57,6 +57,21 @@ class Framebuffer:
         self.depth[y, x] = z
         self.color[y, x] = color
 
+    def write_batch(
+        self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, colors: np.ndarray
+    ) -> None:
+        """:meth:`write` every fragment in order: the last write wins.
+
+        Advanced-index assignment does not say which of several writes
+        to one pixel lands, so each pixel's last fragment is picked
+        explicitly and only those are stored.
+        """
+        pixels = ys * self.width + xs
+        _, from_end = np.unique(pixels[::-1], return_index=True)
+        last = len(pixels) - 1 - from_end
+        self.depth[ys[last], xs[last]] = zs[last]
+        self.color[ys[last], xs[last]] = colors[last]
+
     def clear(self) -> None:
         self.color.fill(0.0)
         self.depth.fill(np.inf)

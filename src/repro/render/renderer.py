@@ -5,7 +5,8 @@ The renderer produces two artefacts from one rasterization pass:
 * an actual RGBA image, filtered under a chosen :class:`SamplingMode` --
   this is what the quality study (Fig. 15/16) compares via PSNR;
 * a :class:`~repro.texture.requests.FragmentTrace` of per-fragment
-  texture requests, which the cycle-approximate performance model replays.
+  texture requests, which the cycle-approximate performance model
+  replays (after :meth:`Renderer.render`, built on first read).
 
 Sampling modes:
 
@@ -15,8 +16,10 @@ Sampling modes:
     the arithmetic runs, not in the result).
 ``REORDERED``
     A-TFIM's anisotropic-first order with per-request recalculation
-    (equivalent to an angle threshold of zero before quantisation); this
-    must match ``EXACT`` bit for bit (paper section V-B).
+    (equivalent to an angle threshold of zero before quantisation).  The
+    paper's section V-B shows it equals ``EXACT`` in exact arithmetic; in
+    float64 the two orders round differently, by up to a few 1e-16 per
+    channel, and the tests hold them within ``atol=1e-12``.
 ``ATFIM``
     A-TFIM with the camera-angle reuse policy: parent texels cached in an
     angle-tagged store are reused whenever the requesting pixel's angle is
@@ -31,25 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
-from repro.render.raster import RasterFragment, Rasterizer, RasterStats
+from repro.render.raster import FragmentBatch, Rasterizer, RasterStats
 from repro.render.scene import Scene
-from repro.texture.lod import quantize_angle
+from repro.texture.lod import compute_footprint_batch
 from repro.texture.requests import FragmentTrace, TextureRequest
-from repro.texture.sampling import (
-    TextureSampler,
-    anisotropic_first_sample,
-    anisotropic_sample,
-    filter_parent_texel,
-    parent_texel_coords,
-    trilinear_sample,
-)
 
 
 class SamplingMode(Enum):
@@ -63,55 +59,24 @@ class SamplingMode(Enum):
 
 @dataclass
 class RenderOutput:
-    """Everything one rendered frame yields."""
+    """Everything one rendered frame yields.
+
+    :attr:`trace` is built from ``build_trace`` the first time it is
+    read: the quality study reads only :attr:`image`, and the request
+    records are costly to materialise.
+    """
 
     image: np.ndarray
-    trace: FragmentTrace
     raster_stats: RasterStats
     framebuffer: Framebuffer
+    build_trace: Callable[[], FragmentTrace] = field(repr=False, compare=False)
     parent_recalculations: int = 0
     parent_reuses: int = 0
 
-
-class _AngleTaggedParentStore:
-    """Functional model of A-TFIM's angle-tagged parent-texel reuse.
-
-    Keys are parent texel identities ``(texture, level, x, y)``; values
-    are the filtered parent value and the (quantised) camera angle it was
-    filtered under.  A lookup whose angle differs by more than the
-    threshold recalculates, exactly mirroring the architectural cache
-    policy in :mod:`repro.texture.cache` -- but holding *values*, because
-    the functional path needs the possibly-stale colors to measure their
-    quality impact.
-    """
-
-    def __init__(self, threshold: float, angle_bits: int = 7) -> None:
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        self.threshold = threshold
-        self.angle_bits = angle_bits
-        self._store: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, float]] = {}
-        self.reuses = 0
-        self.recalculations = 0
-
-    def lookup(
-        self, key: Tuple[int, int, int, int], angle: float
-    ) -> Optional[np.ndarray]:
-        quantised = quantize_angle(angle, self.angle_bits)
-        entry = self._store.get(key)
-        if entry is None:
-            return None
-        value, stored_angle = entry
-        if abs(stored_angle - quantised) <= self.threshold:
-            self.reuses += 1
-            return value
-        return None
-
-    def store(self, key: Tuple[int, int, int, int], angle: float,
-              value: np.ndarray) -> None:
-        quantised = quantize_angle(angle, self.angle_bits)
-        self._store[key] = (value, quantised)
-        self.recalculations += 1
+    @cached_property
+    def trace(self) -> FragmentTrace:
+        """The frame's per-fragment texture requests."""
+        return self.build_trace()
 
 
 class Renderer:
@@ -144,7 +109,7 @@ class Renderer:
             requests = self.rasterizer.trace_requests(
                 scene, camera, framebuffer
             )
-        return self._output(framebuffer, requests)
+        return self._output(framebuffer, lambda: requests)
 
     def render(
         self,
@@ -155,11 +120,16 @@ class Renderer:
     ) -> RenderOutput:
         """Rasterize and shade every visible fragment.
 
-        EXACT and ISOTROPIC frames shade through the vectorised kernels
-        of :mod:`repro.texture.batch`; REORDERED and ATFIM shade one
-        fragment at a time.  ``angle_threshold`` (radians) only applies
-        to :attr:`SamplingMode.ATFIM`.
+        Every mode shades the rasterizer's fragment columns per texture
+        through the batched kernels of :mod:`repro.texture.batch`, and
+        fragments are written in submission order (the last write to a
+        pixel wins).  ``angle_threshold`` (radians) only applies to
+        :attr:`SamplingMode.ATFIM`.  With ``REPRO_CHECK_INVARIANTS=1``
+        each texture's batch is also checked against the scalar
+        samplers at drain time.
         """
+        if mode is SamplingMode.ATFIM and angle_threshold < 0:
+            raise ValueError("threshold must be non-negative")
         with obs.span(
             "render.render",
             mode=mode.value,
@@ -168,141 +138,148 @@ class Renderer:
         ):
             framebuffer = Framebuffer(self.width, self.height)
             with obs.span("render.rasterize"):
-                shaded = self.rasterizer.rasterize_scene(
+                batches = self.rasterizer.rasterize_batches(
                     scene, camera, framebuffer
                 )
+            texture_ids, columns = _frame_columns(batches)
+            with obs.span("render.shade", fragments=len(texture_ids)):
+                colors, reuses, recalculations = self._shade_frame(
+                    scene, texture_ids, columns, mode, angle_threshold
+                )
+                framebuffer.write_batch(
+                    columns["x"], columns["y"], columns["depth"], colors
+                )
+        rasterizer = self.rasterizer
+        return self._output(
+            framebuffer,
+            lambda: [
+                request
+                for batch in batches
+                for request in rasterizer.requests_from_batch(batch)
+            ],
+            reuses,
+            recalculations,
+        )
 
-            parent_store: Optional[_AngleTaggedParentStore] = None
+    def _shade_frame(
+        self,
+        scene: Scene,
+        texture_ids: np.ndarray,
+        columns: Dict[str, np.ndarray],
+        mode: SamplingMode,
+        angle_threshold: float,
+    ) -> Tuple[np.ndarray, int, int]:
+        """Colors of every fragment, plus A-TFIM's reuse and
+        recalculation counts, shading one texture's fragments at a time
+        (each texture has its own mip chain and its own parent keys)."""
+        from repro.analysis.invariants import checks_enabled
+        from repro.texture.batch import BatchSampler, RequestBatch
+
+        footprints = compute_footprint_batch(
+            columns["dudx"], columns["dvdx"], columns["dudy"], columns["dvdy"],
+            max_anisotropy=self.rasterizer.max_anisotropy,
+            lod_bias=self.rasterizer.lod_bias,
+        )
+        requests = RequestBatch(
+            u=columns["u"],
+            v=columns["v"],
+            lod=footprints.lod,
+            probes=footprints.probes,
+            major_du=footprints.major_du,
+            major_dv=footprints.major_dv,
+            major_length=footprints.major_length,
+        )
+        checking = checks_enabled()
+        colors = np.zeros((len(texture_ids), 4), dtype=np.float64)
+        reuses = recalculations = 0
+        for texture_id in np.unique(texture_ids).tolist():
+            rows = np.flatnonzero(texture_ids == texture_id)
+            sampler = BatchSampler(scene.mipmap_chain(texture_id))
+            batch = requests.take(rows)
             if mode is SamplingMode.ATFIM:
-                parent_store = _AngleTaggedParentStore(threshold=angle_threshold)
-
-            requests: List[TextureRequest] = [request for _, request in shaded]
-            with obs.span("render.shade", fragments=len(shaded)):
-                if mode in (SamplingMode.EXACT, SamplingMode.ISOTROPIC):
-                    colors = self._shade_batch(scene, requests, mode)
-                    for index, (fragment, _request) in enumerate(shaded):
-                        framebuffer.write(
-                            fragment.x, fragment.y, fragment.depth, colors[index]
-                        )
-                else:
-                    self._shade_each(
-                        scene, shaded, mode, parent_store, framebuffer
-                    )
-        return self._output(framebuffer, requests, parent_store)
+                shade = sampler.sample_atfim(
+                    batch, columns["camera_angle"][rows], angle_threshold
+                )
+                colors[rows] = shade.colors
+                reuses += shade.reuses
+                recalculations += shade.recalculations
+                if checking:
+                    sampler.verify_atfim(batch, shade)
+                continue
+            if mode is SamplingMode.EXACT:
+                colors[rows] = sampler.sample_exact(batch)
+            elif mode is SamplingMode.ISOTROPIC:
+                colors[rows] = sampler.sample_isotropic(batch)
+            elif mode is SamplingMode.REORDERED:
+                colors[rows] = sampler.sample_reordered(batch)
+            else:
+                raise ValueError(f"unknown sampling mode {mode}")
+            if checking:
+                sampler.verify_against_scalar(batch, kind=mode.value)
+        return colors, reuses, recalculations
 
     def _output(
         self,
         framebuffer: Framebuffer,
-        requests: List[TextureRequest],
-        parent_store: Optional[_AngleTaggedParentStore] = None,
+        requests: Callable[[], List[TextureRequest]],
+        parent_reuses: int = 0,
+        parent_recalculations: int = 0,
     ) -> RenderOutput:
-        """Package a finished frame: image, request trace, statistics."""
-        trace = FragmentTrace(
-            width=self.width,
-            height=self.height,
-            requests=requests,
-            tile_size=self.rasterizer.tile_size,
-        )
-        output = RenderOutput(
+        """Package a finished frame: image, statistics, and the request
+        trace, built from ``requests()`` on first read."""
+        width, height = self.width, self.height
+        tile_size = self.rasterizer.tile_size
+
+        def build_trace() -> FragmentTrace:
+            return FragmentTrace(
+                width=width,
+                height=height,
+                requests=requests(),
+                tile_size=tile_size,
+            )
+
+        return RenderOutput(
             image=framebuffer.rgb_image(),
-            trace=trace,
             raster_stats=self.rasterizer.stats,
             framebuffer=framebuffer,
+            build_trace=build_trace,
+            parent_recalculations=parent_recalculations,
+            parent_reuses=parent_reuses,
         )
-        if parent_store is not None:
-            output.parent_recalculations = parent_store.recalculations
-            output.parent_reuses = parent_store.reuses
-        return output
 
-    def _shade_each(
-        self,
-        scene: Scene,
-        shaded: List[Tuple[RasterFragment, TextureRequest]],
-        mode: SamplingMode,
-        parent_store: Optional[_AngleTaggedParentStore],
-        framebuffer: Framebuffer,
-    ) -> None:
-        """Shade and write fragments one at a time, in submission order
-        (the order A-TFIM's parent reuse depends on)."""
-        for fragment, request in shaded:
-            chain = scene.mipmap_chain(request.texture_id)
-            color = self._shade(chain, request, mode, parent_store)
-            framebuffer.write(fragment.x, fragment.y, fragment.depth, color)
 
-    def _shade_batch(
-        self,
-        scene: Scene,
-        requests: List[TextureRequest],
-        mode: SamplingMode,
-    ) -> np.ndarray:
-        """Shade every request through the batched kernels, per texture.
+_COLUMNS = (
+    ("x", np.int64), ("y", np.int64), ("depth", np.float64),
+    ("u", np.float64), ("v", np.float64),
+    ("dudx", np.float64), ("dvdx", np.float64),
+    ("dudy", np.float64), ("dvdy", np.float64),
+    ("camera_angle", np.float64),
+)
 
-        Fragments are grouped by texture (each group shares one mip
-        chain), filtered as arrays, and scattered back into submission
-        order.  With ``REPRO_CHECK_INVARIANTS=1`` each group is also
-        validated against the scalar oracle at drain time
-        (``batch-fetch-parity``: bit-identical colors, equal texel
-        fetch sets).
-        """
-        from repro.analysis.invariants import checks_enabled
-        from repro.texture.batch import BatchSampler, RequestBatch
 
-        isotropic = mode is SamplingMode.ISOTROPIC
-        colors = np.zeros((len(requests), 4), dtype=np.float64)
-        by_texture: Dict[int, List[int]] = {}
-        for index, request in enumerate(requests):
-            by_texture.setdefault(request.texture_id, []).append(index)
-        for texture_id, indices in by_texture.items():
-            chain = scene.mipmap_chain(texture_id)
-            sampler = BatchSampler(chain)
-            batch = RequestBatch.from_requests([requests[i] for i in indices])
-            if isotropic:
-                colors[indices] = sampler.sample_isotropic(batch)
-            else:
-                colors[indices] = sampler.sample_exact(batch)
-            if checks_enabled():
-                sampler.verify_against_scalar(batch, isotropic=isotropic)
-        return colors
+def _frame_columns(
+    batches: Sequence[FragmentBatch],
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """The frame's fragments as one set of columns, in submission order,
+    with the texture of each fragment.
 
-    def _shade(
-        self,
-        chain,
-        request: TextureRequest,
-        mode: SamplingMode,
-        parent_store: Optional[_AngleTaggedParentStore],
-    ) -> np.ndarray:
-        footprint = request.footprint
-        if mode is SamplingMode.EXACT:
-            return anisotropic_sample(chain, footprint, request.u, request.v)
-        if mode is SamplingMode.REORDERED:
-            return anisotropic_first_sample(chain, footprint, request.u, request.v)
-        if mode is SamplingMode.ISOTROPIC:
-            return trilinear_sample(chain, footprint.lod, request.u, request.v)
-        if mode is SamplingMode.ATFIM:
-            return self._shade_atfim(chain, request, parent_store)
-        raise ValueError(f"unknown sampling mode {mode}")
-
-    def _shade_atfim(
-        self,
-        chain,
-        request: TextureRequest,
-        parent_store: _AngleTaggedParentStore,
-    ) -> np.ndarray:
-        """A-TFIM shading with angle-threshold parent reuse.
-
-        For each parent texel: reuse the stored value when the angle
-        matches within the threshold; otherwise recalculate it from its
-        child texels under *this* request's footprint and store it.
-        """
-        footprint = request.footprint
-        parents = parent_texel_coords(chain, footprint.lod, request.u, request.v)
-        color = np.zeros(4, dtype=np.float64)
-        for level, x, y, weight in parents:
-            mip = chain.level(level)
-            key = (request.texture_id, level, x % mip.width, y % mip.height)
-            value = parent_store.lookup(key, request.camera_angle)
-            if value is None:
-                value = filter_parent_texel(chain, footprint, level, x, y)
-                parent_store.store(key, request.camera_angle, value)
-            color += weight * value
-        return color
+    Makes the checks :class:`TextureRequest` records make on
+    construction: a negative texture id or camera angle raises
+    ``ValueError``.
+    """
+    if any(batch.texture_id < 0 for batch in batches):
+        raise ValueError("negative texture id")
+    columns = {
+        name: (
+            np.concatenate([getattr(batch, name) for batch in batches])
+            if batches else np.empty(0, dtype=dtype)
+        )
+        for name, dtype in _COLUMNS
+    }
+    if bool(np.any(columns["camera_angle"] < 0)):
+        raise ValueError("negative camera angle")
+    texture_ids = np.repeat(
+        np.array([batch.texture_id for batch in batches], dtype=np.int64),
+        [len(batch) for batch in batches],
+    )
+    return texture_ids, columns

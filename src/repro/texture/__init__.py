@@ -13,7 +13,10 @@ traffic for the cycle model):
   anisotropy (level-of-anisotropy, footprint axes, camera angle).
 * :mod:`repro.texture.sampling` -- bilinear / trilinear / anisotropic
   filtering math, in both the conventional order and A-TFIM's reordered
-  (anisotropic-first) sequence.
+  (anisotropic-first) sequence, one lookup at a time; the oracle of
+  :mod:`repro.texture.batch`.
+* :mod:`repro.texture.batch` -- the same math over fragment arrays,
+  which the renderer shades with (including A-TFIM's parent reuse).
 * :mod:`repro.texture.cache` -- set-associative texture caches with the
   optional per-line camera-angle tag of A-TFIM.
 * :mod:`repro.texture.requests` -- trace record types exchanged between

@@ -21,7 +21,11 @@ operations in the same order* as the scalar path —
 * anisotropic probes accumulate in probe-index order and divide once at
   the end;
 * probe offsets use the same ``round()`` (half-to-even, matching
-  ``np.rint``) of the same products.
+  ``np.rint``) of the same products;
+* in A-TFIM's reordered order, parents come in slot order (low-level
+  taps x0y0, x1y0, x0y1, x1y1, then the high-level taps), each parent
+  value is ``acc += child`` over its probes in index order, then
+  ``/ probes``, and each color is ``color += weight * value``.
 
 The scalar functions stay the oracle: ``tests/texture/test_batch.py``
 asserts ``np.array_equal`` (exact, every bit) between the two paths, and
@@ -30,10 +34,22 @@ the drain-time ``batch-fetch-parity`` invariant
 a deterministic sample of every batched render when
 ``REPRO_CHECK_INVARIANTS=1``.
 
+A-TFIM's camera-angle parent reuse (:func:`atfim_batch`) is decided for
+the whole batch at once rather than per lookup.  Parent slots are
+stably sorted by parent key, so each key keeps submission order.  A key
+whose quantised angles lie within the threshold reuses its first entry;
+the other keys walk their entries (:func:`reuse_sources`).  Child
+averages are computed only for recalculating slots.  Colors and
+reuse/recalculation counts equal shading each fragment in turn through
+the angle-tagged store of :mod:`repro.perf.oracles`; the drain-time
+``atfim-parent-reuse`` invariant
+(:func:`repro.analysis.invariants.check_atfim_parent_reuse`) checks the
+slot count and a sample of recalculated parents.
+
 Grouping strategy: fragments are partitioned by probe count, and within
-each trilinear stage by mip level.  Partitioning never changes results —
-all arithmetic is per-fragment elementwise — it only keeps gathers
-rectangular.
+each trilinear stage (or parent group) by mip level.  Partitioning
+never changes results — all arithmetic is per-fragment elementwise — it
+only keeps gathers rectangular.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.texture.lod import SampleFootprint
+from repro.texture.lod import SampleFootprint, quantize_angle_batch
 from repro.texture.mipmap import MipmapChain
 from repro.texture.requests import TextureRequest
 from repro.texture.sampling import TexelCoord
@@ -94,6 +110,30 @@ class RequestBatch:
             [request.footprint for request in requests],
             [request.u for request in requests],
             [request.v for request in requests],
+        )
+
+    def take(self, rows: np.ndarray) -> "RequestBatch":
+        """The sub-batch at positions ``rows``, in that order."""
+        return RequestBatch(
+            u=self.u[rows],
+            v=self.v[rows],
+            lod=self.lod[rows],
+            probes=self.probes[rows],
+            major_du=self.major_du[rows],
+            major_dv=self.major_dv[rows],
+            major_length=self.major_length[rows],
+        )
+
+    def footprint(self, index: int) -> SampleFootprint:
+        """Row ``index`` as the scalar samplers' footprint (the
+        anisotropy ratio, which no sampler reads, is not carried)."""
+        return SampleFootprint(
+            lod=float(self.lod[index]),
+            anisotropy=1.0,
+            probes=int(self.probes[index]),
+            major_du=float(self.major_du[index]),
+            major_dv=float(self.major_dv[index]),
+            major_length=float(self.major_length[index]),
         )
 
 
@@ -398,12 +438,295 @@ def isotropic_batch(
     )
 
 
+SLOTS = 8
+"""Parent slots per fragment: the 4 bilinear taps of the low mip level,
+then the 4 of the high level (present only for a two-level blend)."""
+
+
+@dataclass
+class ParentSlots:
+    """Every fragment's parent texels as ``(fragment, slot)`` columns.
+
+    The batched :func:`~repro.texture.sampling.parent_texel_coords`:
+    ``level``/``x``/``y``/``weight`` have shape ``(n, SLOTS)``, with
+    unwrapped tap coordinates and the combined bilinear x trilinear
+    weight of each parent.  ``dual`` marks fragments with a high level;
+    for the others slots 4-7 do not exist.  ``entries`` lists the
+    existing slots as flat ``fragment * SLOTS + slot`` positions, which
+    is submission order: fragments in order, each in slot order.
+    """
+
+    level: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
+    dual: np.ndarray
+    entries: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """The fragment of every entry."""
+        return self.entries // SLOTS
+
+    def column(self, name: str) -> np.ndarray:
+        """One of ``level``/``x``/``y``/``weight``, per entry."""
+        return getattr(self, name).reshape(-1)[self.entries]
+
+
+def parent_slot_arrays(chain: MipmapChain, batch: RequestBatch) -> ParentSlots:
+    """Vectorised :func:`~repro.texture.sampling.parent_texel_coords`.
+
+    Per level the taps are derived exactly as the scalar function does:
+    the sample point scaled to the level, shifted by half a texel,
+    floored, and the tap weights ``(1 - fx) * (1 - fy)`` etc. multiplied
+    by the level's trilinear weight (``1 - w`` low, ``w`` high).
+    """
+    count = len(batch)
+    low, high, blend = level_blend_arrays(chain, batch.lod)
+    dual = ~((blend == 0.0) | (low == high))
+    level = np.empty((count, SLOTS), dtype=np.int64)
+    xs = np.empty((count, SLOTS), dtype=np.int64)
+    ys = np.empty((count, SLOTS), dtype=np.int64)
+    weight = np.empty((count, SLOTS), dtype=np.float64)
+    for first, levels, level_weight in ((0, low, 1.0 - blend), (4, high, blend)):
+        scale = np.ldexp(1.0, levels)
+        su = batch.u / scale - 0.5
+        sv = batch.v / scale - 0.5
+        x0f = np.floor(su)
+        y0f = np.floor(sv)
+        fx = su - x0f
+        fy = sv - y0f
+        x0 = x0f.astype(np.int64)
+        y0 = y0f.astype(np.int64)
+        taps = (
+            (x0, y0, (1.0 - fx) * (1.0 - fy)),
+            (x0 + 1, y0, fx * (1.0 - fy)),
+            (x0, y0 + 1, (1.0 - fx) * fy),
+            (x0 + 1, y0 + 1, fx * fy),
+        )
+        for offset, (tap_x, tap_y, tap_weight) in enumerate(taps):
+            level[:, first + offset] = levels
+            xs[:, first + offset] = tap_x
+            ys[:, first + offset] = tap_y
+            weight[:, first + offset] = tap_weight * level_weight
+    exists = np.ones((count, SLOTS), dtype=bool)
+    exists[:, 4:] = dual[:, None]
+    return ParentSlots(
+        level=level, x=xs, y=ys, weight=weight, dual=dual,
+        entries=np.flatnonzero(exists),
+    )
+
+
+def parent_average_batch(
+    chain: MipmapChain,
+    batch: RequestBatch,
+    rows: np.ndarray,
+    levels: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    recorder: Optional[BatchFetchRecorder] = None,
+) -> np.ndarray:
+    """Vectorised :func:`~repro.texture.sampling.filter_parent_texel`.
+
+    Entry ``e`` averages the children of parent ``(levels[e], xs[e],
+    ys[e])`` (unwrapped) under the footprint of fragment ``rows[e]``:
+    entries are grouped by probe count and level, and each group adds
+    its probe-displaced, wrapped children into a zero vector one probe
+    at a time in index order, then divides once by the count.  Fetches
+    are recorded under the fragment's row in ``batch``.
+    """
+    out = np.empty((len(rows), 4), dtype=np.float64)
+    probes = batch.probes[rows]
+    for count in np.unique(probes).tolist():
+        with_count = probes == count
+        for level in np.unique(levels[with_count]).tolist():
+            sel = np.flatnonzero(with_count & (levels == level))
+            group = rows[sel]
+            mip = chain.level(level)
+            acc = np.zeros((len(sel), 4), dtype=np.float64)
+            for probe in range(count):
+                dx, dy = probe_offset_arrays(
+                    levels[sel],
+                    batch.major_du[group],
+                    batch.major_dv[group],
+                    batch.major_length[group],
+                    count,
+                    probe,
+                )
+                child_x = (xs[sel] + dx) % mip.width
+                child_y = (ys[sel] + dy) % mip.height
+                if recorder is not None:
+                    recorder.add(group, mip.level, child_x, child_y)
+                acc += mip.data[child_y, child_x]
+            out[sel] = acc / count
+    return out
+
+
+def _blend_parents(slots: ParentSlots, values: np.ndarray) -> np.ndarray:
+    """Colors from per-entry parent values: ``color += weight * value``
+    over each fragment's slots in slot order, from a zero vector."""
+    count = len(slots.dual)
+    per_slot = np.zeros((count, SLOTS, 4), dtype=np.float64)
+    per_slot.reshape(-1, 4)[slots.entries] = values
+    colors = np.zeros((count, 4), dtype=np.float64)
+    for slot in range(4):
+        colors += slots.weight[:, slot, None] * per_slot[:, slot]
+    dual = np.flatnonzero(slots.dual)
+    if len(dual):
+        high = colors[dual]
+        for slot in range(4, SLOTS):
+            high += slots.weight[dual, slot, None] * per_slot[dual, slot]
+        colors[dual] = high
+    return colors
+
+
+def anisotropic_first_batch(
+    chain: MipmapChain,
+    batch: RequestBatch,
+    recorder: Optional[BatchFetchRecorder] = None,
+) -> np.ndarray:
+    """A-TFIM reordered filter over a fragment batch.
+
+    Mirrors :func:`~repro.texture.sampling.anisotropic_first_sample`:
+    every parent texel is replaced by the probe average of its
+    children, then the bilinear/trilinear weights combine the averaged
+    parents in slot order.
+    """
+    slots = parent_slot_arrays(chain, batch)
+    values = parent_average_batch(
+        chain, batch, slots.rows(), slots.column("level"),
+        slots.column("x"), slots.column("y"), recorder,
+    )
+    return _blend_parents(slots, values)
+
+
+@dataclass
+class AtfimShade:
+    """One batch shaded under A-TFIM's camera-angle parent reuse."""
+
+    colors: np.ndarray
+    reuses: int
+    recalculations: int
+    recalculated: np.ndarray
+    """Fragment, level and unwrapped x, y of every recalculated parent,
+    shape ``(recalculations, 4)``."""
+    values: np.ndarray
+    """The filtered value of every recalculated parent, in the same order."""
+
+
+def reuse_sources(
+    keys: np.ndarray, quantised: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Which entry's parent value each entry uses, for the whole batch.
+
+    Entries arrive in submission order with their parent key and
+    quantised camera angle.  Per key, in submission order, the first
+    entry recalculates and becomes the *anchor*; a later entry reuses
+    the anchor's value when ``abs(anchor_angle - angle) <= threshold``
+    and otherwise recalculates and becomes the new anchor -- the
+    angle-tagged store's policy, decided for every key at once.  A
+    stable sort groups the keys; a group whose angle range is within the
+    threshold reuses its first entry throughout (rounding is monotone,
+    so every pairwise difference is within the range), and only the
+    other groups walk their entries.  Returns, per entry, the index of
+    the entry it takes its value from (itself when it recalculates).
+    """
+    total = len(keys)
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    sorted_angles = quantised[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    )
+    lengths = np.diff(np.append(starts, total))
+    anchors = np.repeat(starts, lengths)
+    spread = (
+        np.maximum.reduceat(sorted_angles, starts)
+        - np.minimum.reduceat(sorted_angles, starts)
+    )
+    mixed = np.flatnonzero(~(spread <= threshold))
+    if len(mixed):
+        angles = sorted_angles.tolist()
+        for start, length in zip(starts[mixed].tolist(), lengths[mixed].tolist()):
+            anchor = start
+            stored = angles[start]
+            walked = []
+            for entry in range(start, start + length):
+                if not abs(stored - angles[entry]) <= threshold:
+                    anchor = entry
+                    stored = angles[entry]
+                walked.append(anchor)
+            anchors[start:start + length] = walked
+    sources = np.empty(total, dtype=np.int64)
+    sources[order] = order[anchors]
+    return sources
+
+
+def atfim_batch(
+    chain: MipmapChain,
+    batch: RequestBatch,
+    camera_angle: np.ndarray,
+    threshold: float,
+) -> AtfimShade:
+    """A-TFIM filtering with angle-threshold parent reuse over a batch.
+
+    The batched counterpart of shading each fragment in submission
+    order through an angle-tagged parent store that starts empty: parent
+    keys are ``(level, x mod width, y mod height)`` within this chain,
+    the reuse decision is :func:`reuse_sources` over all parent slots at
+    once, child averages are computed only for the recalculating entries
+    (each under its own fragment's footprint) and gathered for the
+    reusing ones, and colors combine them as
+    :func:`anisotropic_first_batch` does.
+    """
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+    quantised = quantize_angle_batch(camera_angle)
+    slots = parent_slot_arrays(chain, batch)
+    rows = slots.rows()
+    levels = slots.column("level")
+    xs = slots.column("x")
+    ys = slots.column("y")
+    widths = np.array([mip.width for mip in chain.levels], dtype=np.int64)
+    heights = np.array([mip.height for mip in chain.levels], dtype=np.int64)
+    bases = np.concatenate(([0], np.cumsum(widths * heights)[:-1]))
+    keys = (
+        bases[levels]
+        + (ys % heights[levels]) * widths[levels]
+        + xs % widths[levels]
+    )
+    sources = reuse_sources(keys, quantised[rows], threshold)
+    recalculating = np.flatnonzero(sources == np.arange(len(sources)))
+    values = parent_average_batch(
+        chain, batch, rows[recalculating], levels[recalculating],
+        xs[recalculating], ys[recalculating],
+    )
+    position = np.empty(len(sources), dtype=np.int64)
+    position[recalculating] = np.arange(len(recalculating))
+    return AtfimShade(
+        colors=_blend_parents(slots, values[position[sources]]),
+        reuses=len(sources) - len(recalculating),
+        recalculations=len(recalculating),
+        recalculated=np.stack(
+            [rows[recalculating], levels[recalculating],
+             xs[recalculating], ys[recalculating]],
+            axis=1,
+        ),
+        values=values,
+    )
+
+
+_VERIFY_SAMPLES = 256
+"""Fragments (or recalculated parents) re-filtered by each drain-time check."""
+
+
 class BatchSampler:
     """Batched facade over one mip chain, mirroring ``TextureSampler``.
 
     The functional renderer routes whole fragment arrays through this
-    class; the scalar ``TextureSampler`` remains the oracle the batch
-    path is validated against.
+    class; the scalar samplers of :mod:`repro.texture.sampling` remain
+    the oracle the batch path is validated against.
     """
 
     def __init__(self, chain: MipmapChain) -> None:
@@ -425,14 +748,33 @@ class BatchSampler:
         """Trilinear-only colors (anisotropic filtering disabled)."""
         return isotropic_batch(self.chain, batch, recorder=recorder)
 
+    def sample_reordered(
+        self,
+        batch: RequestBatch,
+        recorder: Optional[BatchFetchRecorder] = None,
+    ) -> np.ndarray:
+        """A-TFIM-order (anisotropic first) colors, every parent recalculated."""
+        return anisotropic_first_batch(self.chain, batch, recorder=recorder)
+
+    def sample_atfim(
+        self,
+        batch: RequestBatch,
+        camera_angle: np.ndarray,
+        threshold: float,
+    ) -> AtfimShade:
+        """A-TFIM colors under camera-angle parent reuse, with the
+        reuse/recalculation counts (see :func:`atfim_batch`)."""
+        return atfim_batch(self.chain, batch, camera_angle, threshold)
+
     def verify_against_scalar(
         self,
         batch: RequestBatch,
-        isotropic: bool = False,
-        sample_limit: int = 256,
+        kind: str = "exact",
+        sample_limit: int = _VERIFY_SAMPLES,
     ) -> None:
         """Drain-time parity check of the batch path against the oracle.
 
+        ``kind`` is ``"exact"``, ``"isotropic"`` or ``"reordered"``.
         Re-filters a deterministic, evenly-strided sample of the batch
         through both paths with fetch recording on, then asserts (via
         :func:`repro.analysis.invariants.check_batch_scalar_parity`)
@@ -444,60 +786,40 @@ class BatchSampler:
         from repro.analysis.invariants import check_batch_scalar_parity
         from repro.texture.sampling import (
             _FetchRecorder,
+            anisotropic_first_sample,
             anisotropic_sample,
             trilinear_sample,
         )
 
-        total = len(batch)
-        if total == 0:
+        kernels = {
+            "exact": (anisotropic_batch, anisotropic_sample),
+            "isotropic": (
+                isotropic_batch,
+                lambda chain, footprint, u, v, recorder: trilinear_sample(
+                    chain, footprint.lod, u, v, recorder=recorder
+                ),
+            ),
+            "reordered": (anisotropic_first_batch, anisotropic_first_sample),
+        }
+        batch_kernel, scalar_kernel = kernels[kind]
+        picked = _strided(len(batch), sample_limit)
+        if len(picked) == 0:
             return
-        stride = max(1, total // max(1, sample_limit))
-        picked = np.arange(0, total, stride, dtype=np.int64)[:sample_limit]
-        sub = RequestBatch(
-            u=batch.u[picked],
-            v=batch.v[picked],
-            lod=batch.lod[picked],
-            probes=batch.probes[picked],
-            major_du=batch.major_du[picked],
-            major_dv=batch.major_dv[picked],
-            major_length=batch.major_length[picked],
-        )
+        sub = batch.take(picked)
         batch_recorder = BatchFetchRecorder()
-        if isotropic:
-            batch_colors = isotropic_batch(self.chain, sub, recorder=batch_recorder)
-        else:
-            batch_colors = anisotropic_batch(
-                self.chain, sub, recorder=batch_recorder
-            )
+        batch_colors = batch_kernel(self.chain, sub, recorder=batch_recorder)
         batch_texels = batch_recorder.request_texels()
 
         entries = []
         for position in range(len(sub)):
             scalar_recorder = _FetchRecorder()
-            footprint = SampleFootprint(
-                lod=float(sub.lod[position]),
-                anisotropy=1.0,
-                probes=int(sub.probes[position]),
-                major_du=float(sub.major_du[position]),
-                major_dv=float(sub.major_dv[position]),
-                major_length=float(sub.major_length[position]),
+            scalar_color = scalar_kernel(
+                self.chain,
+                sub.footprint(position),
+                float(sub.u[position]),
+                float(sub.v[position]),
+                recorder=scalar_recorder,
             )
-            if isotropic:
-                scalar_color = trilinear_sample(
-                    self.chain,
-                    footprint.lod,
-                    float(sub.u[position]),
-                    float(sub.v[position]),
-                    recorder=scalar_recorder,
-                )
-            else:
-                scalar_color = anisotropic_sample(
-                    self.chain,
-                    footprint,
-                    float(sub.u[position]),
-                    float(sub.v[position]),
-                    recorder=scalar_recorder,
-                )
             entries.append(
                 (
                     int(picked[position]),
@@ -508,3 +830,47 @@ class BatchSampler:
                 )
             )
         check_batch_scalar_parity(entries)
+
+    def verify_atfim(
+        self,
+        batch: RequestBatch,
+        shade: AtfimShade,
+    ) -> None:
+        """Drain-time check of one A-TFIM shaded batch.
+
+        Asserts (via
+        :func:`repro.analysis.invariants.check_atfim_parent_reuse`) that
+        reuses plus recalculations equal the parent slots the batch
+        holds -- 4 per fragment, 8 for a two-level blend, counted from
+        the batch's own LODs -- and that an evenly-strided sample of the
+        recalculated parent values is bit-identical to
+        :func:`~repro.texture.sampling.filter_parent_texel` under the
+        recalculating fragment's footprint.
+        """
+        from repro.analysis.invariants import check_atfim_parent_reuse
+        from repro.texture.sampling import filter_parent_texel
+
+        low, high, blend = level_blend_arrays(self.chain, batch.lod)
+        dual = ~((blend == 0.0) | (low == high))
+        slots = 4 * len(batch) + 4 * int(np.count_nonzero(dual))
+        samples = []
+        for entry in _strided(len(shade.values), _VERIFY_SAMPLES).tolist():
+            row, level, x, y = (int(item) for item in shade.recalculated[entry])
+            samples.append(
+                (
+                    entry,
+                    shade.values[entry],
+                    filter_parent_texel(
+                        self.chain, batch.footprint(row), level, x, y
+                    ),
+                )
+            )
+        check_atfim_parent_reuse(
+            shade.reuses, shade.recalculations, slots, samples
+        )
+
+
+def _strided(total: int, limit: int) -> np.ndarray:
+    """A deterministic, evenly-strided sample of ``range(total)``."""
+    stride = max(1, total // max(1, limit))
+    return np.arange(0, total, stride, dtype=np.int64)[:limit]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional
 
-from repro.texture.lod import quantize_angle
+from repro.texture.lod import ANGLE_BITS, quantize_angle
 from repro.units import BITS_PER_BYTE, Bits, Bytes, Radians
 
 
@@ -43,7 +43,7 @@ class CacheConfig:
     size_bytes: Bytes
     line_bytes: Bytes = 64
     associativity: int = 16
-    angle_bits: Bits = 7
+    angle_bits: Bits = ANGLE_BITS
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.line_bytes <= 0 or self.associativity <= 0:

@@ -230,7 +230,12 @@ def compute_footprint_batch(
     )
 
 
-def quantize_angle(angle: Radians, bits: Bits = 7) -> float:
+ANGLE_BITS: Bits = Bits(7)
+"""Camera-angle bits per texture cache line (Section VII-E); the one
+default both angle quantisers and the A-TFIM parent reuse share."""
+
+
+def quantize_angle(angle: Radians, bits: Bits = ANGLE_BITS) -> float:
     """Quantise an angle in [0, pi/2] to ``bits`` bits, as the cache does.
 
     Section VII-E: 7 bits per cache line record the camera angle.  The
@@ -248,3 +253,24 @@ def quantize_angle(angle: Radians, bits: Bits = 7) -> float:
     clamped = min(angle, half_pi)
     step = half_pi / levels
     return round(clamped / step) * step
+
+
+def quantize_angle_batch(angles: np.ndarray) -> np.ndarray:
+    """Batched twin of :func:`quantize_angle` at :data:`ANGLE_BITS`,
+    bit-identical lane for lane.
+
+    ``np.rint`` rounds half to even as Python's ``round`` does, and the
+    clamp and step are the same IEEE-754 expressions.  Raises
+    ``ValueError`` wherever the scalar function would for some lane: a
+    negative angle, or a NaN (which ``round`` cannot convert to an
+    integer).
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    if bool(np.any(angles < 0)):
+        raise ValueError("angle must be non-negative")
+    if bool(np.any(np.isnan(angles))):
+        raise ValueError("cannot quantise a NaN angle")
+    levels = (1 << ANGLE_BITS) - 1
+    half_pi = math.pi / 2.0
+    step = half_pi / levels
+    return np.rint(np.minimum(angles, half_pi) / step) * step

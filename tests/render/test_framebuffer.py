@@ -55,3 +55,25 @@ class TestFramebuffer:
     def test_validation(self):
         with pytest.raises(ValueError):
             Framebuffer(0, 4)
+
+    def test_write_batch_last_write_wins(self):
+        xs = np.array([1, 2, 1, 0, 1, 2])
+        ys = np.array([0, 3, 0, 0, 0, 3])
+        zs = np.arange(6, dtype=np.float64) + 1.0
+        colors = np.arange(24, dtype=np.float64).reshape(6, 4)
+        batched = Framebuffer(4, 4)
+        batched.write_batch(xs, ys, zs, colors)
+        sequential = Framebuffer(4, 4)
+        for index in range(6):
+            sequential.write(xs[index], ys[index], zs[index], colors[index])
+        assert np.array_equal(batched.color, sequential.color)
+        assert np.array_equal(batched.depth, sequential.depth)
+        assert batched.depth[0, 1] == 5.0
+        assert batched.depth[3, 2] == 6.0
+
+    def test_write_batch_empty(self):
+        framebuffer = Framebuffer(4, 4)
+        empty = np.empty(0, dtype=np.int64)
+        framebuffer.write_batch(empty, empty, np.empty(0), np.empty((0, 4)))
+        assert np.all(framebuffer.color == 0.0)
+        assert np.all(np.isinf(framebuffer.depth))

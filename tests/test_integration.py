@@ -8,11 +8,14 @@ reproduction's actual contract.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import Design, simulate_frame
 from repro.core.angle import THRESHOLD_SWEEP
 from repro.energy import EnergyModel
+from repro.perf.oracles import render_scalar
+from repro.render.renderer import SamplingMode
 
 
 class TestDesignOrderings:
@@ -167,3 +170,29 @@ class TestWarmup:
         assert first.frame.traffic.external_texture == (
             second.frame.traffic.external_texture
         )
+
+
+class TestFig15Parity:
+    def test_atfim_renders_identical_to_scalar_store(self, fast_workload):
+        # Fig. 15's five A-TFIM renders of the fast workload, batched
+        # against the per-fragment oracle: same image, same reuse and
+        # recalculation counts, same depth buffer.
+        built = fast_workload.build()
+        renderer = fast_workload.make_renderer()
+        for threshold in THRESHOLD_SWEEP:
+            radians = threshold.effective_radians
+            batched = renderer.render(
+                built.scene, built.camera, SamplingMode.ATFIM,
+                angle_threshold=radians,
+            )
+            scalar = render_scalar(
+                renderer, built.scene, built.camera, SamplingMode.ATFIM,
+                angle_threshold=radians,
+            )
+            assert np.array_equal(batched.image, scalar.image), threshold.label
+            assert (batched.parent_reuses, batched.parent_recalculations) == (
+                scalar.parent_reuses, scalar.parent_recalculations
+            ), threshold.label
+            assert np.array_equal(
+                batched.framebuffer.depth, scalar.framebuffer.depth
+            ), threshold.label

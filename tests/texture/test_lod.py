@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from repro.texture.lod import (
     camera_angle_from_normal,
     compute_footprint,
     quantize_angle,
+    quantize_angle_batch,
 )
 
 
@@ -154,3 +156,24 @@ class TestQuantizeAngle:
             quantize_angle(-0.1)
         with pytest.raises(ValueError):
             quantize_angle(0.1, bits=0)
+
+
+class TestQuantizeAngleBatch:
+    def test_bit_identical_to_scalar(self):
+        step = (math.pi / 2) / 127
+        angles = [0.0, step / 2, 1.5 * step, 2.5 * step, 0.3, 1.0,
+                  math.pi / 2, 3.0, float("inf"), 1e-300]
+        angles += list(np.random.default_rng(3).uniform(0.0, 2.0, 200))
+        batched = quantize_angle_batch(np.array(angles))
+        assert batched.tolist() == [quantize_angle(angle) for angle in angles]
+
+    def test_raises_where_scalar_raises(self):
+        with pytest.raises(ValueError):
+            quantize_angle_batch(np.array([0.1, -0.1]))
+        with pytest.raises(ValueError):
+            quantize_angle(float("nan"))
+        with pytest.raises(ValueError):
+            quantize_angle_batch(np.array([0.1, float("nan")]))
+
+    def test_empty(self):
+        assert len(quantize_angle_batch(np.empty(0))) == 0
