@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-units lint-determinism lint-sarif test check rules invariants bench chaos sweep-smoke serve-smoke serve
+.PHONY: lint lint-units lint-determinism lint-sarif test check rules invariants bench chaos sweep-smoke serve-smoke serve report-check
 
 lint:
 	$(PYTHON) -m repro.analysis lint
@@ -29,6 +29,22 @@ bench:
 
 chaos:
 	$(PYTHON) -m repro chaos --jobs 2 --manifest CHAOS.manifest.json
+
+# Freshness gate for EXPERIMENTS.md: regenerate the report from scratch
+# (one process, no disk cache) into a temporary directory and require
+# its body -- everything above the host-timing section and the
+# "Generated in" footer -- to equal the committed one byte for byte.
+report-check:
+	@out=$$(mktemp -d) && \
+	env -u REPRO_CACHE_DIR $(PYTHON) -m repro report --jobs 1 \
+		--output $$out/EXPERIMENTS.md && \
+	sed -e '/^## Host-phase timing/,$$d' -e '/^---$$/,$$d' \
+		$$out/EXPERIMENTS.md > $$out/fresh.md && \
+	sed -e '/^## Host-phase timing/,$$d' -e '/^---$$/,$$d' \
+		EXPERIMENTS.md > $$out/committed.md && \
+	diff -u $$out/committed.md $$out/fresh.md && \
+	echo "report-check: EXPERIMENTS.md body is current"; \
+	status=$$?; rm -rf $$out; exit $$status
 
 # Tiny sampled sweep through both executor backends (serial and
 # process-pool); fails unless they agree bit for bit and drop no points

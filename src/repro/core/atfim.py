@@ -23,25 +23,30 @@ Unit are 16-wide ALU arrays.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpansionRows
+from repro.core.expansion import ExpansionColumns
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
-    HmcExternalInterface,
     PathActivity,
     ReadMergeWindow,
+    ReplayLoop,
     TexturePath,
     _line_payload_bytes,
     make_hmc,
+    texture_unit_loop,
 )
 from repro.gpu.config import ATFIM_MEMORY_UNIT
 from repro.gpu.texunit import TextureUnit
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
 from repro.texture.cache import CacheAccessResult
+from repro.texture.lod import quantize_angle_batch
+from repro.units import Cycles
 
 PARENT_TEXEL_BUFFER_DEPTH = 256
 """Entries in the Parent Texel Buffer, equal to the memory request queue
@@ -83,63 +88,113 @@ class AtfimPath(TexturePath):
         self.child_lines_fetched = 0
         self.offload_packages = 0
 
-    def serve(
-        self, cluster: int, issue: float, rows: ExpansionRows, index: int
-    ) -> float:
-        unit = self.units[cluster]
-        unit.note_request()
+    def begin_replay(
+        self,
+        columns: ExpansionColumns,
+        per_cluster: Sequence[Sequence[int]],
+    ) -> ReplayLoop:
+        """Two passes over the parents: classify every angle-tagged L1
+        probe up front, then time the requests.
+
+        Only anisotropic parents carry an angle tag; their requests'
+        camera angles are quantised once (:func:`quantize_angle_batch`),
+        isotropic ones probe untagged.  In the timed loop a parent that
+        missed L1 (or hit it at a stale angle) probes the shared L2 --
+        refreshing an L2 copy's angle tag as the scalar probe does --
+        and the request's missing parents go to the HMC in one
+        offloading package; a request whose parents all hit L1 goes
+        straight to filtering.
+        """
+        caches = self.caches
         threshold = self.config.effective_angle_threshold
-        angle = rows.camera_angle[index]
+        parent_line = columns.parent_line
+        parent_offsets = columns.parent_offsets
+        num_children = columns.num_children
+        tagged = num_children > 1
+        owner = np.repeat(np.arange(len(columns)), np.diff(parent_offsets))
+        angles = np.full(len(parent_line), np.nan)  # NaN: untagged
+        angles[tagged] = quantize_angle_batch(columns.camera_angle[owner[tagged]])
+        angle_col = angles.tolist()
+        outcomes = caches.classify_l1(
+            per_cluster, parent_offsets, parent_line, angle_col, threshold
+        )
+        l2_access = caches.l2.access
+        l2_line_bytes = caches.l2.config.line_bytes
+        l2_sets = caches.l2.config.num_sets
+        home_col = parent_line.tolist()
+        children_col = num_children.tolist()
+        child_offsets = columns.child_offsets.tolist()
+        child_lines = columns.child_lines
+        hit = CacheAccessResult.HIT
+        angle_miss = CacheAccessResult.ANGLE_MISS
+        angle_missed = outcomes.angle_missed
+        offload = self._offload
+        reuses = recalculations = cold_misses = 0
 
-        # GPU side: generate the (few) parent-texel addresses.
-        first = rows.parent_offsets[index]
-        last = rows.parent_offsets[index + 1]
-        num_parents = last - first
-        address_done = unit.generate_addresses(issue, num_parents)
-
-        # Classify each parent against the angle-tagged caches.  Only
-        # anisotropic parents carry an angle tag; isotropic ones behave
-        # like ordinary cached lines.
-        parent_line = rows.parent_line
-        num_children = rows.num_children
-        missing: List[int] = []
-        for parent in range(first, last):
-            needs_angle = num_children[parent] > 1
-            result = self.caches.probe(
-                cluster,
-                parent_line[parent],
-                angle if needs_angle else None,
-                threshold if needs_angle else None,
+        def fetch(cluster: int, arrival: Cycles, missed: List[int]) -> Cycles:
+            nonlocal reuses, recalculations, cold_misses
+            missing = []
+            for parent in missed:
+                angle = angle_col[parent]
+                line = home_col[parent] // l2_line_bytes
+                result = l2_access(
+                    line % l2_sets, line // l2_sets,
+                    None if angle != angle else angle, threshold,
+                )
+                # A stale angle at either level forces a recalculation.
+                if result is angle_miss or parent in angle_missed:
+                    recalculations += 1
+                elif result is hit:
+                    reuses += 1
+                    continue
+                else:
+                    cold_misses += 1
+                missing.append(parent)
+            if not missing:
+                return arrival
+            return offload(
+                arrival,
+                home_col[missing[0]],
+                [
+                    child_lines[
+                        child_offsets[parent]:child_offsets[parent + 1]
+                    ].tolist()
+                    for parent in missing
+                ],
+                sum(children_col[parent] for parent in missing),
             )
-            if result is CacheAccessResult.HIT:
-                self.parent_reuses += 1
-            elif result is CacheAccessResult.ANGLE_MISS:
-                self.parent_recalculations += 1
-                missing.append(parent)
-            else:
-                self.parent_cold_misses += 1
-                missing.append(parent)
 
-        if missing:
-            parents_ready = self._offload(address_done, rows, missing)
-        else:
-            parents_ready = address_done
+        def flush() -> None:
+            # Every L1 hit is a reused parent.
+            self.parent_reuses += outcomes.hits + reuses
+            self.parent_recalculations += recalculations
+            self.parent_cold_misses += cold_misses
 
-        # GPU side: bilinear/trilinear over the (approximated) parents.
-        return unit.filter_texels(parents_ready, num_parents)
+        return texture_unit_loop(
+            self.units, np.diff(parent_offsets), outcomes.nonhits,
+            fetch, flush,
+        )
 
     def _offload(
-        self, arrival: float, rows: ExpansionRows, missing: List[int]
+        self,
+        arrival: float,
+        home: int,
+        children: Sequence[List[int]],
+        total_children: int,
     ) -> float:
-        """Round-trip the missing parents (row indices) through the HMC
-        pipeline."""
+        """Round-trip one request's missing parents through the HMC
+        pipeline.
+
+        ``children`` holds each missing parent's child lines, ``home``
+        the first missing parent's line (the package's base address),
+        and ``total_children`` their child-texel count.
+        """
         packets = self.config.packets
         self.offload_packages += 1
 
         # Offloading Unit: one compressed package for this fetch's
         # missing parents (they share the first parent's base address).
         request_bytes = packets.parent_texel_request_bytes
-        home = rows.parent_line[missing[0]]
         self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
         delivered = self.hmc.send_request(arrival, home, request_bytes)
 
@@ -147,33 +202,20 @@ class AtfimPath(TexturePath):
         admitted = self.parent_buffer.enqueue(delivered)
 
         # Texel Generator: one address op per child texel.
-        num_children = rows.num_children
-        total_children = sum(num_children[parent] for parent in missing)
         self.child_texels_generated += total_children
         generated = self.texel_generator.generate_addresses(admitted, total_children)
 
         # Child Texel Consolidation: dedup child lines across parents.
-        child_lines = rows.child_lines
-        child_offsets = rows.child_offsets
         if self.config.consolidation_enabled:
             lines: List[int] = []
             seen = set()
-            for parent in missing:
-                for line in child_lines[
-                    child_offsets[parent]:child_offsets[parent + 1]
-                ]:
+            for parent_children in children:
+                for line in parent_children:
                     if line not in seen:
                         seen.add(line)
                         lines.append(line)
         else:
-            lines = [
-                line
-                for parent in missing
-                for line in child_lines[
-                    child_offsets[parent]:child_offsets[parent + 1]
-                ]
-            ]
-
+            lines = [line for parent_children in children for line in parent_children]
         # Vault fetches at internal bandwidth, merged against in-flight
         # identical child fetches.  The merge window IS the consolidation
         # buffer's cross-package face: disabling consolidation disables
@@ -200,7 +242,7 @@ class AtfimPath(TexturePath):
         combined = self.combination_unit.filter_texels(data_ready, total_children)
 
         # Response package back to the GPU, normal bilinear-fetch format.
-        response_bytes = packets.parent_texel_response_bytes(len(missing))
+        response_bytes = packets.parent_texel_response_bytes(len(children))
         self.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
         return self.hmc.send_response(combined, home, response_bytes)
 

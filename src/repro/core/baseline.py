@@ -2,18 +2,18 @@
 
 The two designs share one path implementation; they differ only in the
 memory system behind the texture caches (GDDR5 for the baseline, HMC
-external links for B-PIM -- section III's drop-in replacement).
+external links for B-PIM -- section III's drop-in replacement).  A
+replay classifies every L1 line access up front and then times the
+requests, fetching only L1 misses through the L2 and memory
+(:meth:`GpuFilteringPath.begin_replay`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpansionColumns, ExpansionRows
+from repro.core.expansion import ExpansionColumns
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
@@ -21,14 +21,16 @@ from repro.core.paths import (
     HmcExternalInterface,
     MemoryInterface,
     PathActivity,
-    ReplaySession,
+    ReplayLoop,
     TexturePath,
     make_hmc,
+    texture_unit_loop,
 )
 from repro.gpu.texunit import TextureUnit
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.traffic import TrafficMeter
-from repro.texture.cache import TextureCache, _Line
+from repro.texture.cache import CacheAccessResult
+from repro.units import Bytes, Cycles
 
 
 class GpuFilteringPath(TexturePath):
@@ -64,23 +66,66 @@ class GpuFilteringPath(TexturePath):
             )
             self.gddr5 = None
 
-    def serve(
-        self, cluster: int, issue: float, rows: ExpansionRows, index: int
-    ) -> float:
-        unit = self.units[cluster]
-        unit.note_request()
-        num_texels = rows.texels[index]
-        address_done = unit.generate_addresses(issue, num_texels)
-        data_ready = address_done
-        offsets = rows.line_offsets
-        for line in rows.lines[offsets[index]:offsets[index + 1]]:
-            ready = self.caches.lookup(cluster, address_done, line, self.memory)
-            if ready > data_ready:
-                data_ready = ready
-        return unit.filter_texels(data_ready, num_texels)
+    def begin_replay(
+        self,
+        columns: ExpansionColumns,
+        per_cluster: Sequence[Sequence[int]],
+    ) -> ReplayLoop:
+        """Two passes: classify every L1 line access up front, then time
+        the requests, fetching only L1 misses through L2 and memory.
 
-    def begin_replay(self, columns: ExpansionColumns) -> "_GpuReplaySession":
-        return _GpuReplaySession(self, columns)
+        An L2 hit occupies the L2 port as :meth:`BandwidthServer.access`
+        does, operation for operation, with the port's clock and
+        counters in closure cells (float accumulators in service order)
+        until the replay finishes; an L2 miss reads the line through
+        the live memory interface.
+        """
+        caches = self.caches
+        lines = columns.lines
+        outcomes = caches.classify_l1(per_cluster, columns.line_offsets, lines)
+        l2_access = caches.l2.access
+        l2_line_bytes = caches.l2.config.line_bytes
+        l2_sets = caches.l2.config.num_sets
+        line_col = lines.tolist()
+        read_line = self.memory.read_line
+        hit = CacheAccessResult.HIT
+        port = caches.l2_port
+        port_next = port._next_free
+        port_bytes = port.total_bytes
+        port_requests = port.total_requests
+        port_busy = port.busy_cycles
+        line_bytes = caches.line_bytes
+        port_occ = line_bytes / port.bytes_per_cycle
+        port_latency = port.latency
+
+        def fetch(cluster: int, arrival: Cycles, missed: List[int]) -> Cycles:
+            nonlocal port_next, port_bytes, port_requests, port_busy
+            data_ready = arrival
+            for access in missed:
+                address = line_col[access]
+                line = address // l2_line_bytes
+                if l2_access(line % l2_sets, line // l2_sets) is hit:
+                    start = arrival if arrival > port_next else port_next
+                    port_next = start + port_occ
+                    port_bytes += line_bytes
+                    port_requests += 1
+                    port_busy += port_occ
+                    ready = port_next + port_latency
+                else:
+                    ready = read_line(arrival, address)
+                if ready > data_ready:
+                    data_ready = ready
+            return data_ready
+
+        def flush() -> None:
+            port._next_free = Cycles(port_next)
+            port.total_bytes = Bytes(port_bytes)
+            port.total_requests = port_requests
+            port.busy_cycles = Cycles(port_busy)
+
+        return texture_unit_loop(
+            self.units, columns.texels, outcomes.nonhits, fetch, flush
+        )
 
     def activity(self) -> PathActivity:
         activity = PathActivity()
@@ -110,230 +155,3 @@ class GpuFilteringPath(TexturePath):
             self.gddr5.reset()
         if self.hmc is not None:
             self.hmc.reset()
-
-class _ReplayColumns:
-    """Per-replay columns for the GPU-filtering replay session.
-
-    Everything here is a pure function of the shared
-    :class:`~repro.core.expansion.ExpansionColumns` and the cache/ALU
-    geometry, derived straight from the expansion's numpy columns and
-    materialised as python lists (the scheduler indexes them one scalar
-    at a time, where list indexing beats ndarray item access).  The
-    arithmetic is lane-for-lane the scalar path's:
-
-    * stage occupancies are the same IEEE-754 division
-      ``texels / ops_per_cycle`` the :class:`ThroughputUnit` performs;
-    * cache set/tag columns replicate ``TextureCache._locate`` --
-      int64 floor division and modulus agree exactly with python ints
-      for the non-negative addresses the expansion produces.
-
-    Built once per replay and owned by the session, never cached on the
-    path: deriving them costs a few milliseconds, and a drained run must
-    not carry its frame's expansion into pickles or the runner's memo.
-    """
-
-    __slots__ = (
-        "texels", "addr_occ", "filt_occ", "pipe_depth", "offsets",
-        "lines", "l1_set", "l1_tag", "l2_set", "l2_tag",
-        "l1_assoc", "l2_assoc",
-    )
-
-    def __init__(
-        self, path: "GpuFilteringPath", columns: ExpansionColumns
-    ) -> None:
-        gpu = path.config.gpu
-        unit_config = gpu.texture_unit
-        texels = columns.texels
-        texels_float = texels.astype(np.float64)
-        self.texels = texels.tolist()
-        self.addr_occ = (texels_float / float(unit_config.address_alus)).tolist()
-        self.filt_occ = (texels_float / float(unit_config.filter_alus)).tolist()
-        self.pipe_depth = unit_config.pipeline_depth
-
-        lines_flat = columns.lines
-        if bool(np.any(lines_flat < 0)):
-            raise ValueError("negative address")
-        self.offsets = columns.line_offsets.tolist()
-        self.lines = lines_flat.tolist()
-
-        l1, l2 = gpu.l1_cache, gpu.l2_cache
-        l1_lines = lines_flat // l1.line_bytes
-        l2_lines = lines_flat // l2.line_bytes
-        l1_sets, l2_sets = l1.num_sets, l2.num_sets
-        self.l1_set = (l1_lines % l1_sets).tolist()
-        self.l1_tag = (l1_lines // l1_sets).tolist()
-        self.l2_set = (l2_lines % l2_sets).tolist()
-        self.l2_tag = (l2_lines // l2_sets).tolist()
-        self.l1_assoc = l1.associativity
-        self.l2_assoc = l2.associativity
-
-
-class _GpuReplaySession(ReplaySession):
-    """Replay session for the baseline/B-PIM path.
-
-    ``serve_one`` is built as a closure in ``__init__`` so that every
-    per-trace constant and every piece of mutable timing state is a cell
-    variable rather than an attribute: the replay scheduler calls it
-    once per request, so per-call attribute-to-local hoisting would cost
-    more than the serving arithmetic itself.
-
-    The serving arithmetic inlines :meth:`GpuFilteringPath.serve`'s
-    call chain (texture-unit stages, L1/L2 lookup, L2 port) operation
-    for operation; only the memory-side line fill stays a live call,
-    because the memory interfaces keep internal channel/link state and
-    traffic accounting of their own.  Mutable counters are seeded from
-    the live objects, folded locally in service order (so float
-    accumulators reproduce the scalar ``+=`` sequence bit for bit), and
-    flushed back by ``finish``.
-    """
-
-    def __init__(
-        self, path: "GpuFilteringPath", expansion: ExpansionColumns
-    ) -> None:
-        # Not ``super().__init__``: this session serves from its own
-        # columns, so it skips the base session's full python-list rows.
-        self.path = path
-        columns = _ReplayColumns(path, expansion)
-        texels = columns.texels
-        addr_occ = columns.addr_occ
-        filt_occ = columns.filt_occ
-        pipe_depth = columns.pipe_depth
-        offsets = columns.offsets
-        lines = columns.lines
-        l1_set_col, l1_tag_col = columns.l1_set, columns.l1_tag
-        l2_set_col, l2_tag_col = columns.l2_set, columns.l2_tag
-        l1_assoc, l2_assoc = columns.l1_assoc, columns.l2_assoc
-
-        units = path.units
-        caches = path.caches
-        read_line = path.memory.read_line
-
-        addr_next = [unit.address_stage._next_issue for unit in units]
-        addr_busy = [unit.address_stage.busy_cycles for unit in units]
-        filt_next = [unit.filter_stage._next_issue for unit in units]
-        filt_busy = [unit.filter_stage.busy_cycles for unit in units]
-        requests_delta = [0] * len(units)
-        ops_delta = [0] * len(units)
-        l1_hits = [cache.hits for cache in caches.l1]
-        l1_misses = [cache.misses for cache in caches.l1]
-
-        def set_table(cache: TextureCache) -> List[OrderedDict]:
-            # Materialise every set's OrderedDict up front so the hot
-            # loop indexes a list instead of setdefault-ing a dict;
-            # pre-created empty sets are invisible to cache semantics.
-            sets_dict = cache._sets
-            table = []
-            for set_index in range(cache.config.num_sets):
-                entry = sets_dict.get(set_index)
-                if entry is None:
-                    entry = sets_dict[set_index] = OrderedDict()
-                table.append(entry)
-            return table
-
-        l1_by_cluster = [set_table(cache) for cache in caches.l1]
-        l2_table = set_table(caches.l2)
-        l2_hits = caches.l2.hits
-        l2_misses = caches.l2.misses
-        port = caches.l2_port
-        port_next = port._next_free
-        port_bytes = port.total_bytes
-        port_requests = port.total_requests
-        port_busy = port.busy_cycles
-        port_line_bytes = caches.line_bytes
-        port_occ = port_line_bytes / port.bytes_per_cycle
-        port_latency = port.latency
-        make_line = _Line
-
-        def serve_one(cluster: int, issue: float, index: int) -> float:
-            nonlocal port_next, port_bytes, port_requests, port_busy
-            nonlocal l2_hits, l2_misses
-            requests_delta[cluster] += 1
-            num_texels = texels[index]
-            ops_delta[cluster] += num_texels
-            if num_texels:
-                previous = addr_next[cluster]
-                start = issue if issue > previous else previous
-                occupancy = addr_occ[index]
-                done = start + occupancy
-                addr_next[cluster] = done
-                addr_busy[cluster] += occupancy
-                address_done = done + pipe_depth
-            else:
-                address_done = issue
-            data_ready = address_done
-            l1_sets = l1_by_cluster[cluster]
-            for k in range(offsets[index], offsets[index + 1]):
-                cache_set = l1_sets[l1_set_col[k]]
-                tag = l1_tag_col[k]
-                if tag in cache_set:
-                    # An L1 hit is ready at arrival (== address_done),
-                    # which never exceeds data_ready: skip the compare.
-                    cache_set.move_to_end(tag)
-                    l1_hits[cluster] += 1
-                    continue
-                if len(cache_set) >= l1_assoc:
-                    cache_set.popitem(last=False)
-                cache_set[tag] = make_line(tag=tag)
-                l1_misses[cluster] += 1
-                cache_set = l2_table[l2_set_col[k]]
-                tag = l2_tag_col[k]
-                if tag in cache_set:
-                    cache_set.move_to_end(tag)
-                    l2_hits += 1
-                    start = (
-                        address_done
-                        if address_done > port_next
-                        else port_next
-                    )
-                    port_next = start + port_occ
-                    port_bytes += port_line_bytes
-                    port_requests += 1
-                    port_busy += port_occ
-                    ready = port_next + port_latency
-                else:
-                    if len(cache_set) >= l2_assoc:
-                        cache_set.popitem(last=False)
-                    cache_set[tag] = make_line(tag=tag)
-                    l2_misses += 1
-                    ready = read_line(address_done, lines[k])
-                if ready > data_ready:
-                    data_ready = ready
-            if num_texels:
-                previous = filt_next[cluster]
-                start = data_ready if data_ready > previous else previous
-                occupancy = filt_occ[index]
-                done = start + occupancy
-                filt_next[cluster] = done
-                filt_busy[cluster] += occupancy
-                return done + pipe_depth
-            return data_ready
-
-        def finish() -> None:
-            from repro.units import Bytes, Cycles, Ops
-
-            for cluster, unit in enumerate(units):
-                activity = unit.activity
-                activity.requests += requests_delta[cluster]
-                ops = ops_delta[cluster]
-                activity.address_ops = Ops(activity.address_ops + ops)
-                activity.filter_ops = Ops(activity.filter_ops + ops)
-                address_stage = unit.address_stage
-                address_stage._next_issue = Cycles(addr_next[cluster])
-                address_stage.busy_cycles = Cycles(addr_busy[cluster])
-                address_stage.total_ops = Ops(address_stage.total_ops + ops)
-                filter_stage = unit.filter_stage
-                filter_stage._next_issue = Cycles(filt_next[cluster])
-                filter_stage.busy_cycles = Cycles(filt_busy[cluster])
-                filter_stage.total_ops = Ops(filter_stage.total_ops + ops)
-                l1 = caches.l1[cluster]
-                l1.hits = l1_hits[cluster]
-                l1.misses = l1_misses[cluster]
-            caches.l2.hits = l2_hits
-            caches.l2.misses = l2_misses
-            port._next_free = Cycles(port_next)
-            port.total_bytes = Bytes(port_bytes)
-            port.total_requests = port_requests
-            port.busy_cycles = Cycles(port_busy)
-
-        self.serve_one = serve_one
-        self.finish = finish

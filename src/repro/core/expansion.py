@@ -26,7 +26,7 @@ replaced lives on as the bit-identity reference
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,24 +49,6 @@ _COLUMN_NAMES = (
     "texels", "camera_angle", "line_offsets", "lines", "parent_offsets",
     "parent_line", "num_children", "child_offsets", "child_lines",
 )
-
-
-class ExpansionRows(NamedTuple):
-    """:class:`ExpansionColumns` materialised as python lists.
-
-    The replay paths index these one scalar at a time, where list
-    indexing beats ndarray item access; field meanings are the columns'.
-    """
-
-    texels: List[int]
-    camera_angle: List[float]
-    line_offsets: List[int]
-    lines: List[int]
-    parent_offsets: List[int]
-    parent_line: List[int]
-    num_children: List[int]
-    child_offsets: List[int]
-    child_lines: List[int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +81,6 @@ class ExpansionColumns:
 
     def __len__(self) -> int:
         return len(self.texels)
-
-    def rows(self) -> ExpansionRows:
-        """All columns as python lists (one ``tolist`` each)."""
-        return ExpansionRows(
-            *(getattr(self, name).tolist() for name in _COLUMN_NAMES)
-        )
 
     def equals(self, other: "ExpansionColumns") -> bool:
         """Element-for-element equality of every column."""

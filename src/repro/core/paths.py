@@ -5,17 +5,31 @@ texture request issued by cluster ``c`` at cycle ``t``, when does the
 filtered texture result arrive back at the shader, and what traffic and
 unit activity did serving it cost?  The four designs differ exactly and
 only in their texture paths.
+
+A path serves a replay through the :class:`ReplayLoop` its
+:meth:`TexturePath.begin_replay` opens.  The cached designs replay in
+two passes: :meth:`CacheHierarchy.classify_l1` settles every per-cluster
+L1 outcome before timing (timeless, since each L1 sees only its own
+cluster's requests in trace order), then :func:`texture_unit_loop`
+times the requests and touches the shared L2, its port and memory only
+for L1 non-hits.  The scalar per-request paths these are parity-tested
+against live in :mod:`repro.perf.oracles`.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import (
+    Callable, List, NamedTuple, Optional, Sequence, Set, Union,
+)
+
+import numpy as np
 
 from repro.core.designs import DesignConfig
-from repro.core.expansion import ExpansionColumns, ExpansionRows
+from repro.core.expansion import ExpansionColumns
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
@@ -23,8 +37,8 @@ from repro.memory.multicube import MultiCubeMemory
 from repro.memory.packets import PacketSpec
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import BandwidthServer
-from repro.texture.cache import CacheAccessResult, TextureCache
-from repro.units import Bytes, Cycles, Radians
+from repro.texture.cache import TextureCache
+from repro.units import Bytes, Cycles, Ops, Radians
 
 
 def make_hmc(config: DesignConfig) -> Union[HybridMemoryCube, MultiCubeMemory]:
@@ -170,6 +184,20 @@ class CacheHierarchyStats:
         return self.l1_hits / self.l1_accesses
 
 
+class L1Outcomes(NamedTuple):
+    """Pass 1 of a cached path's replay: every L1 access, classified.
+
+    ``nonhits[i]`` lists request ``i``'s L1 non-hits in access order
+    (indices into the flat column the pass walked), or is ``None`` when
+    every access hit; ``angle_missed`` holds the non-hits that were
+    angle misses, and ``hits`` counts the hits.
+    """
+
+    nonhits: List[Optional[List[int]]]
+    angle_missed: Set[int]
+    hits: int
+
+
 class CacheHierarchy:
     """Per-cluster L1s over a shared L2, with an L2 port resource.
 
@@ -196,62 +224,77 @@ class CacheHierarchy:
         )
         self.line_bytes = gpu.l1_cache.line_bytes
 
-    def lookup(
+    def classify_l1(
         self,
-        cluster: int,
-        arrival: Cycles,
-        address: int,
-        memory: MemoryInterface,
-        angle: Optional[float] = None,
+        per_cluster: Sequence[Sequence[int]],
+        offsets: np.ndarray,
+        addresses: np.ndarray,
+        angles: Optional[List[float]] = None,
         angle_threshold: Optional[Radians] = None,
-    ) -> float:
-        """Serve one line through L1 -> L2 -> memory; return ready time.
+    ) -> L1Outcomes:
+        """Pass 1: run every L1 access of one replay, before any timing.
 
-        Angle arguments enable A-TFIM's angle-tagged reuse check; an
-        angle mismatch anywhere forces a memory-path recalculation, which
-        the A-TFIM path routes through the HMC instead of this method
-        (it calls :meth:`probe` first), so plain lookups here never see
-        angle misses.
+        Request ``i`` accesses ``addresses[offsets[i]:offsets[i + 1]]``,
+        angle-tagged with the matching quantised ``angles`` (NaN, or no
+        ``angles`` at all, for untagged accesses).  Each cluster's
+        requests are walked in ``per_cluster`` order against that
+        cluster's live L1, whose contents and counters change exactly
+        as under :meth:`TextureCache.access`, inlined here: this is the
+        replay's hottest loop.
         """
-        result = self.l1[cluster].lookup(address, angle, angle_threshold)
-        if result is CacheAccessResult.HIT:
-            return arrival
-        l2_result = self.l2.lookup(address, angle, angle_threshold)
-        if l2_result is CacheAccessResult.HIT:
-            return self.l2_port.access(arrival, self.line_bytes)
-        return memory.read_line(arrival, address)
-
-    def probe(
-        self,
-        cluster: int,
-        address: int,
-        angle: Optional[float] = None,
-        angle_threshold: Optional[Radians] = None,
-    ) -> CacheAccessResult:
-        """Classify an access (updating cache state) without timing.
-
-        Used by the A-TFIM path, which needs to know the outcome first to
-        decide whether the HMC must recalculate; the timing of the chosen
-        path is then charged separately.
-        """
-        result = self.l1[cluster].lookup(address, angle, angle_threshold)
-        if result is CacheAccessResult.HIT:
-            return CacheAccessResult.HIT
-        if result is CacheAccessResult.ANGLE_MISS:
-            # A stale-angle line must be recalculated regardless of L2;
-            # refresh the L2 copy's angle tag as well.
-            self.l2.lookup(address, angle, angle_threshold)
-            return CacheAccessResult.ANGLE_MISS
-        l2_result = self.l2.lookup(address, angle, angle_threshold)
-        if l2_result is CacheAccessResult.HIT:
-            return CacheAccessResult.HIT
-        if l2_result is CacheAccessResult.ANGLE_MISS:
-            return CacheAccessResult.ANGLE_MISS
-        return CacheAccessResult.MISS
-
-    def l2_fill_time(self, arrival: Cycles) -> float:
-        """Timing of an L1 miss satisfied by the L2."""
-        return self.l2_port.access(arrival, self.line_bytes)
+        # ``TextureCache._locate`` over the whole column: int64 floor
+        # division and modulus agree with python ints on the
+        # non-negative addresses an expansion produces.
+        if bool(np.any(addresses < 0)):
+            raise ValueError("negative address")
+        config = self.config.gpu.l1_cache
+        lines = addresses // config.line_bytes
+        set_col = (lines % config.num_sets).tolist()
+        tag_col = (lines // config.num_sets).tolist()
+        angle_col = [math.nan] * len(set_col) if angles is None else angles
+        offsets = offsets.tolist()
+        nonhits: List[Optional[List[int]]] = [None] * (len(offsets) - 1)
+        angle_missed: Set[int] = set()
+        checked = angle_threshold is not None
+        absent = object()
+        total_hits = 0
+        for cluster, requests in enumerate(per_cluster):
+            cache = self.l1[cluster]
+            sets = cache.sets
+            associativity = cache.config.associativity
+            hits = misses = angle_misses = 0
+            for index in requests:
+                missed = None
+                for access in range(offsets[index], offsets[index + 1]):
+                    cache_set = sets[set_col[access]]
+                    tag = tag_col[access]
+                    stored = cache_set.get(tag, absent)
+                    angle = angle_col[access]
+                    if stored is absent:
+                        if len(cache_set) >= associativity:
+                            cache_set.popitem(last=False)  # evict LRU
+                        cache_set[tag] = None if angle != angle else angle
+                        misses += 1
+                    elif angle != angle or not checked or (
+                        stored is not None
+                        and not abs(stored - angle) > angle_threshold
+                    ):
+                        cache_set.move_to_end(tag)
+                        hits += 1
+                        continue
+                    else:
+                        cache_set[tag] = angle
+                        cache_set.move_to_end(tag)
+                        angle_misses += 1
+                        angle_missed.add(access)
+                    if missed is None:
+                        missed = nonhits[index] = []
+                    missed.append(access)
+            cache.hits += hits
+            cache.misses += misses
+            cache.angle_misses += angle_misses
+            total_hits += hits
+        return L1Outcomes(nonhits, angle_missed, total_hits)
 
     def stats(self) -> CacheHierarchyStats:
         aggregated = CacheHierarchyStats()
@@ -285,39 +328,103 @@ class PathActivity:
     child_lines_fetched: int = 0
 
 
-class ReplaySession:
-    """Per-replay serving context for the replay scheduler.
+class ReplayLoop(NamedTuple):
+    """One replay's serving closures, from :meth:`TexturePath.begin_replay`.
 
-    Created by :meth:`TexturePath.begin_replay` with the frame's
-    :class:`~repro.core.expansion.ExpansionColumns`.  The scheduler
-    calls :meth:`serve_one` once per request in the scalar heap's pop
-    order (time ascending, ties by cluster ascending) and :meth:`finish`
-    once at drain time, before any counters are read.
-
-    The base implementation materialises the columns as python-list
-    :class:`~repro.core.expansion.ExpansionRows` once, owns them for the
-    replay, and delegates each request to the path's scalar
-    :meth:`TexturePath.serve` with them; no path keeps a reference, so a
-    drained run carries nothing of its frame's expansion.  Paths with a
-    specialised session derive their own per-request columns instead;
-    overrides must keep the arithmetic bit-identical to the scalar path
-    (the replay parity tests compare the two schedulers end to end).
+    The replay scheduler calls ``serve_one(cluster, issue, index)`` once
+    per request, in the scalar heap's pop order (time ascending, ties by
+    cluster ascending), and ``finish()`` once at drain time, before any
+    counter is read.  Mutable state lives in closure cells between the
+    two, so nothing of the replay's columns stays on the path.
     """
 
-    def __init__(self, path: "TexturePath", columns: ExpansionColumns) -> None:
-        self.path = path
-        self.rows = columns.rows()
+    serve_one: Callable[[int, float, int], float]
+    finish: Callable[[], None]
 
-    def serve_one(self, cluster: int, issue: float, index: int) -> float:
-        """Serve the single request at ``index`` issuing at ``issue``.
 
-        The replay scheduler's only entry point; it returns the
-        request's completion time.
-        """
-        return self.path.serve(cluster, issue, self.rows, index)
+Fetch = Callable[[int, float, Sequence[int]], float]
+"""Serve one request's L1 non-hits: ``(unit, arrival, nonhits)`` to the
+cycle its last line or parent is ready."""
 
-    def finish(self) -> None:
-        """Flush locally accumulated counters (none in the base session)."""
+
+def texture_unit_loop(
+    units: Sequence[TextureUnit],
+    texels: np.ndarray,
+    nonhits: Sequence[Optional[Sequence[int]]],
+    fetch: Fetch,
+    flush: Callable[[], None],
+) -> ReplayLoop:
+    """The timed per-request loop every design's replay runs.
+
+    Per request on unit ``u``: ``texels[i]`` ops through the unit's
+    address stage, then -- only when the request has accesses left to
+    serve (L1 non-hits; every line for S-TFIM) -- ``fetch`` for those,
+    then the same ops through the filter stage.  A request whose
+    accesses all hit goes straight to filtering (an L1 hit is ready at
+    arrival).  The stage arithmetic is :meth:`ThroughputUnit.issue`'s,
+    operation for operation, on closure cells: occupancies are the same
+    IEEE-754 ``texels / ops_per_cycle`` divisions, and the float
+    accumulators fold in service order, so ``finish`` writes back
+    exactly what the per-request calls would have left, then runs
+    ``flush`` for the fetch's state.
+    """
+    config = units[0].config
+    texels_float = texels.astype(np.float64)
+    texel_col = texels.tolist()
+    addr_occ = (texels_float / float(config.address_alus)).tolist()
+    filt_occ = (texels_float / float(config.filter_alus)).tolist()
+    pipe_depth = config.pipeline_depth
+    addr_next = [unit.address_stage._next_issue for unit in units]
+    addr_busy = [unit.address_stage.busy_cycles for unit in units]
+    filt_next = [unit.filter_stage._next_issue for unit in units]
+    filt_busy = [unit.filter_stage.busy_cycles for unit in units]
+    requests_delta = [0] * len(units)
+    ops_delta = [0] * len(units)
+
+    def serve_one(unit: int, issue: float, index: int) -> float:
+        requests_delta[unit] += 1
+        num_texels = texel_col[index]
+        ops_delta[unit] += num_texels
+        if num_texels:
+            previous = addr_next[unit]
+            start = issue if issue > previous else previous
+            occupancy = addr_occ[index]
+            done = start + occupancy
+            addr_next[unit] = done
+            addr_busy[unit] += occupancy
+            data_ready = done + pipe_depth
+        else:
+            data_ready = issue
+        missed = nonhits[index]
+        if missed is not None:
+            data_ready = fetch(unit, data_ready, missed)
+        if num_texels:
+            previous = filt_next[unit]
+            start = data_ready if data_ready > previous else previous
+            occupancy = filt_occ[index]
+            done = start + occupancy
+            filt_next[unit] = done
+            filt_busy[unit] += occupancy
+            return done + pipe_depth
+        return data_ready
+
+    def finish() -> None:
+        for index, unit in enumerate(units):
+            ops = ops_delta[index]
+            activity = unit.activity
+            activity.requests += requests_delta[index]
+            activity.address_ops = Ops(activity.address_ops + ops)
+            activity.filter_ops = Ops(activity.filter_ops + ops)
+            for stage, next_issue, busy in (
+                (unit.address_stage, addr_next, addr_busy),
+                (unit.filter_stage, filt_next, filt_busy),
+            ):
+                stage._next_issue = Cycles(next_issue[index])
+                stage.busy_cycles = Cycles(busy[index])
+                stage.total_ops = Ops(stage.total_ops + ops)
+        flush()
+
+    return ReplayLoop(serve_one, finish)
 
 
 class TexturePath(abc.ABC):
@@ -328,22 +435,22 @@ class TexturePath(abc.ABC):
         self.traffic = traffic
 
     @abc.abstractmethod
-    def serve(
-        self, cluster: int, issue: float, rows: ExpansionRows, index: int
-    ) -> float:
-        """Serve request ``index`` of ``rows``; return the completion
-        cycle at the shader."""
+    def begin_replay(
+        self,
+        columns: ExpansionColumns,
+        per_cluster: Sequence[Sequence[int]],
+    ) -> ReplayLoop:
+        """Open the serving closures for one replay of ``columns``.
 
-    def begin_replay(self, columns: ExpansionColumns) -> ReplaySession:
-        """Open a serving session for one replay of ``columns``.
-
-        The replay scheduler serves every request of a replay through
-        one session, letting path implementations derive per-request
-        columns (stage occupancies, cache set/tag address math) from the
-        shared expansion as whole-trace numpy expressions and keep hot
-        counters in locals until :meth:`ReplaySession.finish`.
+        ``per_cluster`` is the replay's cluster partition (request
+        indices per cluster, in trace order), so a cached path can
+        classify every L1 access up front (:meth:`CacheHierarchy.classify_l1`).
+        Per-request columns (stage occupancies, cache set/tag address
+        math) are whole-trace numpy expressions, and hot counters stay
+        in closure cells until :attr:`ReplayLoop.finish`.  The scalar
+        per-request ``serve`` each path is parity-tested against lives
+        in :mod:`repro.perf.oracles`.
         """
-        return ReplaySession(self, columns)
 
     @abc.abstractmethod
     def activity(self) -> PathActivity:

@@ -15,16 +15,18 @@ packages.  Backpressure from the bounded texture request queue (capacity
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpansionRows
+from repro.core.expansion import ExpansionColumns
 from repro.core.paths import (
     PathActivity,
     ReadMergeWindow,
+    ReplayLoop,
     TexturePath,
     _line_payload_bytes,
     make_hmc,
+    texture_unit_loop,
 )
 from repro.gpu.config import MTU_TEXTURE_UNIT
 from repro.gpu.texunit import TextureUnit
@@ -69,48 +71,75 @@ class StfimPath(TexturePath):
             ReadMergeWindow(READ_MERGE_WINDOW_LINES) for _ in range(num_mtus)
         ]
 
-    def _mtu_index(self, cluster: int) -> int:
-        return cluster // self.config.mtu_share
+    def begin_replay(
+        self,
+        columns: ExpansionColumns,
+        per_cluster: Sequence[Sequence[int]],
+    ) -> ReplayLoop:
+        """The timed loop over columns; S-TFIM has no L1 to classify.
 
-    def serve(
-        self, cluster: int, issue: float, rows: ExpansionRows, index: int
-    ) -> float:
-        lines = rows.lines[rows.line_offsets[index]:rows.line_offsets[index + 1]]
+        Per request: the MTU's bounded request queue and the
+        live-texture package over the transmit link, then the MTU's
+        stages (:func:`texture_unit_loop`, on MTU ``cluster //
+        mtu_share``) with a vault read for every line its read-merge
+        window does not merge, then the filtered sample back over the
+        receive link.  The windows stay in this timed loop because with
+        ``mtu_share > 1`` one window serves several clusters.
+        """
         packets = self.config.packets
-        mtu_index = self._mtu_index(cluster)
-        mtu = self.mtus[mtu_index]
-        mtu.note_request()
-
-        # Shader -> MTU: live-texture package over the transmit link,
-        # gated by the MTU's bounded request queue (stall protocol).
-        admitted = self.queues[mtu_index].enqueue(issue)
+        send_request = self.hmc.send_request
+        send_response = self.hmc.send_response
+        internal_read = self.hmc.internal_read
+        add_external = self.traffic.add_external
+        add_internal = self.traffic.add_internal
+        texture = TrafficClass.TEXTURE
+        queues = self.queues
+        windows = self.merge_windows
+        mtu_share = self.config.mtu_share
         request_bytes = packets.texture_request_bytes
-        home = lines[0] if lines else 0
-        self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
-        delivered = self.hmc.send_request(admitted, home, request_bytes)
-
-        # MTU pipeline: address generation, vault fetches, filtering.
-        num_texels = rows.texels[index]
-        address_done = mtu.generate_addresses(delivered, num_texels)
-        data_ready = address_done
-        line_bytes = _line_payload_bytes(packets, self.config.texture_compression)
-        window = self.merge_windows[mtu_index]
-        for line in lines:
-            merged_ready = window.lookup(line)
-            if merged_ready is not None:
-                ready = max(address_done, merged_ready)
-            else:
-                ready = self.hmc.internal_read(address_done, line, line_bytes)
-                self.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
-                window.insert(line, ready)
-            if ready > data_ready:
-                data_ready = ready
-        filtered = mtu.filter_texels(data_ready, num_texels)
-
-        # MTU -> shader: one filtered sample back over the receive link.
         response_bytes = packets.texture_response_bytes(samples=1)
-        self.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
-        return self.hmc.send_response(filtered, home, response_bytes)
+        line_bytes = _line_payload_bytes(packets, self.config.texture_compression)
+        offsets = columns.line_offsets.tolist()
+        lines = columns.lines.tolist()
+
+        def fetch(mtu: int, arrival: Cycles, accesses: range) -> Cycles:
+            data_ready = arrival
+            window = windows[mtu]
+            for access in accesses:
+                line = lines[access]
+                merged_ready = window.lookup(line)
+                if merged_ready is not None:
+                    ready = max(arrival, merged_ready)
+                else:
+                    ready = internal_read(arrival, line, line_bytes)
+                    add_internal(texture, float(line_bytes))
+                    window.insert(line, ready)
+                if ready > data_ready:
+                    data_ready = ready
+            return data_ready
+
+        mtu_loop = texture_unit_loop(
+            self.mtus, columns.texels,
+            [
+                range(first, last) if last > first else None
+                for first, last in zip(offsets, offsets[1:])
+            ],
+            fetch, lambda: None,
+        )
+        serve_mtu = mtu_loop.serve_one
+
+        def serve_one(cluster: int, issue: float, index: int) -> float:
+            mtu = cluster // mtu_share
+            admitted = queues[mtu].enqueue(issue)
+            first = offsets[index]
+            home = lines[first] if offsets[index + 1] > first else 0
+            add_external(texture, float(request_bytes))
+            delivered = send_request(admitted, home, request_bytes)
+            filtered = serve_mtu(mtu, delivered, index)
+            add_external(texture, float(response_bytes))
+            return send_response(filtered, home, response_bytes)
+
+        return ReplayLoop(serve_one, mtu_loop.finish)
 
     def activity(self) -> PathActivity:
         activity = PathActivity()

@@ -138,10 +138,11 @@ class FrameResult:
 class GpuPipeline:
     """Simulates whole frames given a texture path.
 
-    The texture replay drains all events ready at one timestamp as a
-    chunk through the path's replay session (:meth:`TexturePath.begin_replay`);
-    the one-event-at-a-time heap loop it is parity-tested against lives
-    in :mod:`repro.perf.oracles`.
+    The texture replay serves every request through the serving loop
+    the path opens for it (:meth:`TexturePath.begin_replay`, which gets
+    the cluster partition so cached paths can settle their L1 outcomes
+    before timing); the one-event-at-a-time heap loop it is
+    parity-tested against lives in :mod:`repro.perf.oracles`.
     """
 
     def __init__(self, config: GPUConfig) -> None:
@@ -218,8 +219,8 @@ class GpuPipeline:
         cluster order, so shared resources -- L2 port, links, memory
         channels -- observe arrivals in simulated-time order).  Each
         step serves the lowest-numbered cluster at the minimum
-        next-issue time through the path's replay session
-        (:meth:`ReplaySession.serve_one`).  Serving cluster ``c`` at
+        next-issue time through the path's serving loop
+        (:attr:`ReplayLoop.serve_one`).  Serving cluster ``c`` at
         time ``t`` moves only ``ready_at[c]``, and only past ``t``, so
         the clusters ready at ``t`` are served in ascending order before
         time advances: the exact (time, cluster) sequence of the heap.
@@ -227,7 +228,9 @@ class GpuPipeline:
         The vectorization lives where the data is wide, not in the
         (inherently sequential, 16-entry) scheduler state: per-request
         columns are precomputed by :meth:`TexturePath.begin_replay` as
-        whole-trace numpy expressions, and the latency histogram and
+        whole-trace numpy expressions (with every L1 outcome of the
+        cached designs classified there, before timing), and the
+        latency histogram and
         makespan are reduced at drain time from the event-ordered
         completion log -- ``observe_batch``'s cumsum-based fold is
         bit-identical to per-event ``observe``, and float max is
@@ -247,8 +250,8 @@ class GpuPipeline:
         if remaining == 0:
             return 0.0, histogram, fragments_per_cluster
 
-        session = path.begin_replay(expansion)
-        serve_one = session.serve_one
+        loop = path.begin_replay(expansion, per_cluster)
+        serve_one = loop.serve_one
         infinity = float("inf")
         cursor = [0] * num_clusters
         inflight: List[List[float]] = [[] for _ in range(num_clusters)]
@@ -284,7 +287,7 @@ class GpuPipeline:
                 ready_at[cluster] = infinity
             remaining -= 1
 
-        session.finish()
+        loop.finish()
         completions = np.asarray(completion_log, dtype=np.float64)
         latencies = completions - np.asarray(issue_log, dtype=np.float64)
         if bool(np.any(latencies < 0)):

@@ -22,12 +22,14 @@ implementations in :mod:`repro.perf.oracles`:
 ``BENCH_frame.json``
     The whole-frame hot path per workload: trace generation (SoA
     rasterizer vs the scalar AoS oracle), request expansion (columnar
-    vs the per-request scalar expander) and the texture replay
-    (batched per-timestamp drain vs the scalar heap scheduler), timed
-    cold (warm-up replay against empty caches) and warm (measured replay
-    against warmed caches), with identity checks on the request stream,
-    every expansion column, and the replay's makespan, latency
-    histogram, per-cluster counts, and traffic.
+    vs the per-request scalar expander) and every design's texture
+    replay (the two-pass replay vs the scalar heap scheduler and
+    per-lookup serves), timed cold (warm-up replay against empty
+    caches) and warm (measured replay against warmed caches), with the
+    share of ``core.simulate_frame`` those replays cover, and identity
+    checks on the request stream, every expansion column, and each
+    replay's makespan, latency histogram, per-cluster counts, traffic
+    and flattened path ``StatGroup``.
 ``BENCH_sweep.json``
     A tiny sampled design-space sweep (:mod:`repro.experiments.sweep`)
     executed once per executor backend (serial, process-pool), each
@@ -47,7 +49,7 @@ import math
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -265,30 +267,36 @@ def bench_frame(
 ) -> Dict[str, Any]:
     """Time the whole frame: trace + expand + replay, oracle vs batched.
 
-    Per workload, the three phases of one design's frame are each timed
-    both ways (best of ``repeats``):
+    Per workload, the phases of a frame are each timed both ways (best
+    of ``repeats``):
 
     * *trace*: rasterization into texture requests, through the scalar
       AoS fragment loop vs the columnar :class:`FragmentBatch` path;
-    * *expand*: request expansion (anisotropic), through the
-      per-request :func:`~repro.perf.oracles.expand_scalar` vs the
-      whole-trace :class:`~repro.core.expansion.RequestExpander`;
-    * *replay*: the baseline design's texture replay, through the scalar
-      heap scheduler vs the batched per-timestamp drain -- split into
-      the cold warm-up replay (compulsory misses) and the warm measured
-      replay (steady-state caches), matching ``simulate_frame``'s
-      warm-up protocol.  Both schedulers replay the same columns.
+    * *expand*: request expansion, through the per-request
+      :func:`~repro.perf.oracles.expand_scalar` vs the whole-trace
+      :class:`~repro.core.expansion.RequestExpander` (anisotropic; the
+      isotropic columns a design without aniso needs are expanded
+      untimed);
+    * *replay*: every design's texture replay under the workload's
+      design config, through the scalar heap scheduler and per-lookup
+      serves vs the two-pass replay -- split into the cold warm-up
+      replay (compulsory misses) and the warm measured replay
+      (steady-state caches), matching ``simulate_frame``'s warm-up
+      protocol.  Both replay the same columns.
 
-    ``total`` sums all four timings, so the whole-frame speedup covers
-    trace, expansion and both replays.  Every pairing is checked for
-    end-result identity: equal request streams out of the rasterizer,
-    equal expansion columns, and equal makespan / latency histogram /
-    per-cluster counts / external traffic out of the replay.
+    ``total`` sums trace, expansion and all four designs' replays.
+    ``simulate_frame`` times each design's whole production
+    ``core.simulate_frame`` on the shared columns (invariant checks
+    off), and ``replay_share`` is the part of it the two timed
+    replays cover.  Every pairing is checked for end-result identity:
+    equal request streams out of the rasterizer, equal expansion
+    columns, and, per design, equal makespan / latency histogram /
+    per-cluster counts / external and internal traffic / flattened path
+    ``StatGroup`` after each replay.
     """
     from repro.core import Design
-    from repro.core.designs import DesignConfig
     from repro.core.expansion import RequestExpander
-    from repro.core.frontend import make_texture_path
+    from repro.core.frontend import make_texture_path, simulate_frame
     from repro.experiments.cache import source_version
     from repro.experiments.runner import FAST_WORKLOADS
     from repro.gpu.pipeline import GpuPipeline
@@ -298,147 +306,142 @@ def bench_frame(
     from repro.texture.address import TexelAddressMap
     from repro.workloads import workload_by_name
 
-    trace_fns = {"scalar": trace_only_scalar, "batched": Renderer.trace_only}
-    replay_fns = {
-        "scalar": replay_scalar,
-        "batched": GpuPipeline.replay_texture_stream,
-    }
-
-    def replay_snapshot(makespan, histogram, counts, traffic):
-        return {
-            "makespan": makespan,
-            "latency_count": histogram.count,
-            "latency_total": float(histogram.total),
-            "latency_max": float(histogram.max_latency),
-            "latency_buckets": list(histogram.buckets),
-            "per_cluster": list(counts),
-            "external_bytes": float(traffic.external_total),
-        }
-
-    names = list(workload_names or FAST_WORKLOADS)
     rounds = max(1, repeats)
-    workload_results: List[Dict[str, Any]] = []
-    for name in names:
-        workload = workload_by_name(name)
-        built = workload.build()
 
-        trace_seconds = {"scalar": float("inf"), "batched": float("inf")}
-        outputs: Dict[str, Any] = {}
-        for _ in range(rounds):
-            for mode in ("scalar", "batched"):
-                renderer = workload.make_renderer()
-                started = time.perf_counter()
-                outputs[mode] = trace_fns[mode](
-                    renderer, built.scene, built.camera
-                )
-                trace_seconds[mode] = min(
-                    trace_seconds[mode], time.perf_counter() - started
-                )
-        trace = outputs["batched"].trace
-        trace_identical = (
-            outputs["scalar"].trace.requests == trace.requests
-        )
-
-        expand_seconds = {"scalar": float("inf"), "batched": float("inf")}
-        expansions: Dict[str, Any] = {}
+    def best_of(run: Any) -> Tuple[float, Any]:
+        """Fastest of ``rounds`` calls, and the last call's result."""
+        best = float("inf")
         for _ in range(rounds):
             started = time.perf_counter()
-            expansions["scalar"] = expand_scalar(
-                built.scene, trace.requests, TexelAddressMap(), aniso=True
-            )
-            expand_seconds["scalar"] = min(
-                expand_seconds["scalar"], time.perf_counter() - started
-            )
-            started = time.perf_counter()
-            expansions["batched"] = RequestExpander(built.scene).expand(
-                trace.requests
-            )
-            expand_seconds["batched"] = min(
-                expand_seconds["batched"], time.perf_counter() - started
-            )
-        expanded = expansions["batched"]
-        expansion_identical = expanded.equals(expansions["scalar"])
+            result = run()
+            best = min(best, time.perf_counter() - started)
+        return best, result
 
-        config = DesignConfig(design=Design.BASELINE)
-
-        cold_seconds = {"scalar": float("inf"), "batched": float("inf")}
-        warm_seconds = {"scalar": float("inf"), "batched": float("inf")}
-        snapshots: Dict[str, Any] = {}
-        for _ in range(rounds):
-            for mode in ("scalar", "batched"):
-                replay = replay_fns[mode]
-                traffic = TrafficMeter()
-                path = make_texture_path(config, traffic)
-                pipeline = GpuPipeline(config.gpu)
-                started = time.perf_counter()
-                replay(pipeline, trace, expanded, path)
-                cold_seconds[mode] = min(
-                    cold_seconds[mode], time.perf_counter() - started
-                )
+    def replay_twice(replay: Any, config: Any, trace: Any, columns: Any) -> Any:
+        """Cold then warm replay on a fresh path: seconds and every
+        observable after each."""
+        traffic = TrafficMeter()
+        path = make_texture_path(config, traffic)
+        pipeline = GpuPipeline(config.gpu)
+        phases = {}
+        for phase in ("cold", "warm"):
+            if phase == "warm":
                 path.reset_for_measurement()
                 traffic.reset()
-                started = time.perf_counter()
-                makespan, histogram, counts = replay(
-                    pipeline, trace, expanded, path
-                )
-                warm_seconds[mode] = min(
-                    warm_seconds[mode], time.perf_counter() - started
-                )
-                snapshots[mode] = replay_snapshot(
-                    makespan, histogram, counts, traffic
-                )
+            started = time.perf_counter()
+            makespan, histogram, counts = replay(pipeline, trace, columns, path)
+            phases[phase] = (time.perf_counter() - started, {
+                "makespan": makespan,
+                "latency_count": histogram.count,
+                "latency_total": float(histogram.total),
+                "latency_max": float(histogram.max_latency),
+                "latency_buckets": list(histogram.buckets),
+                "per_cluster": list(counts),
+                "external_bytes": float(traffic.external_total),
+                "internal_bytes": float(traffic.internal_total),
+                "path_stats": dict(path.stat_group().flatten()),
+            })
+        return phases
 
-        scalar_total = (
-            trace_seconds["scalar"]
-            + expand_seconds["scalar"]
-            + cold_seconds["scalar"]
-            + warm_seconds["scalar"]
+    modes = {
+        "scalar": (trace_only_scalar, replay_scalar),
+        "batch": (Renderer.trace_only, GpuPipeline.replay_texture_stream),
+    }
+    workload_results: List[Dict[str, Any]] = []
+    for name in workload_names or FAST_WORKLOADS:
+        workload = workload_by_name(name)
+        built = workload.build()
+        timings: Dict[str, Dict[str, float]] = {mode: {} for mode in modes}
+        outputs: Dict[str, Any] = {}
+        for mode, (trace_fn, _) in modes.items():
+            timings[mode]["trace"], outputs[mode] = best_of(
+                lambda: trace_fn(workload.make_renderer(), built.scene, built.camera)
+            )
+        trace = outputs["batch"].trace
+        trace_identical = outputs["scalar"].trace.requests == trace.requests
+        timings["scalar"]["expand"], scalar_columns = best_of(
+            lambda: expand_scalar(
+                built.scene, trace.requests, TexelAddressMap(), aniso=True
+            )
         )
-        batched_total = (
-            trace_seconds["batched"]
-            + expand_seconds["batched"]
-            + cold_seconds["batched"]
-            + warm_seconds["batched"]
+        timings["batch"]["expand"], expanded = best_of(
+            lambda: RequestExpander(built.scene).expand(trace.requests)
+        )
+        isotropic = RequestExpander(built.scene).expand_isotropic(trace.requests)
+
+        designs: Dict[str, Any] = {}
+        for design in Design:
+            config = workload.design_config(design)
+            columns = expanded if config.aniso_enabled else isotropic
+            entry: Dict[str, Any] = {}
+            snapshots = {}
+            for mode, (_, replay) in modes.items():
+                for _ in range(rounds):
+                    phases = replay_twice(replay, config, trace, columns)
+                    for phase, (seconds, _) in phases.items():
+                        key = f"{mode}_{phase}_seconds"
+                        entry[key] = min(entry.get(key, float("inf")), seconds)
+                snapshots[mode] = {phase: snap for phase, (_, snap) in phases.items()}
+                timings[mode][design.value] = (
+                    entry[f"{mode}_cold_seconds"] + entry[f"{mode}_warm_seconds"]
+                )
+            entry["simulate_frame_seconds"], _ = best_of(
+                lambda: simulate_frame(
+                    built.scene, trace, config, check_invariants=False,
+                    expansion=columns,
+                )
+            )
+            entry["replay_share"] = (
+                timings["batch"][design.value] / entry["simulate_frame_seconds"]
+            )
+            entry["identical_results"] = snapshots["scalar"] == snapshots["batch"]
+            entry["result"] = snapshots["batch"]["warm"]
+            designs[design.value] = entry
+
+        totals = {mode: sum(timings[mode].values()) for mode in modes}
+        replays = {
+            mode: sum(timings[mode][design.value] for design in Design)
+            for mode in modes
+        }
+        frame_seconds = sum(
+            entry["simulate_frame_seconds"] for entry in designs.values()
         )
         workload_results.append({
             "name": name,
             "requests": len(trace.requests),
-            "design": Design.BASELINE.value,
             "trace": {
-                "scalar_seconds": trace_seconds["scalar"],
-                "batch_seconds": trace_seconds["batched"],
+                "scalar_seconds": timings["scalar"]["trace"],
+                "batch_seconds": timings["batch"]["trace"],
                 "speedup_vs_scalar": _speedup(
-                    trace_seconds["scalar"], trace_seconds["batched"]
+                    timings["scalar"]["trace"], timings["batch"]["trace"]
                 ),
                 "identical_requests": trace_identical,
             },
             "expand": {
-                "scalar_seconds": expand_seconds["scalar"],
-                "batch_seconds": expand_seconds["batched"],
+                "scalar_seconds": timings["scalar"]["expand"],
+                "batch_seconds": timings["batch"]["expand"],
                 "speedup_vs_scalar": _speedup(
-                    expand_seconds["scalar"], expand_seconds["batched"]
+                    timings["scalar"]["expand"], timings["batch"]["expand"]
                 ),
-                "identical_expansion": expansion_identical,
+                "identical_expansion": expanded.equals(scalar_columns),
             },
             "replay": {
-                "scalar_cold_seconds": cold_seconds["scalar"],
-                "scalar_warm_seconds": warm_seconds["scalar"],
-                "batch_cold_seconds": cold_seconds["batched"],
-                "batch_warm_seconds": warm_seconds["batched"],
-                "speedup_cold": _speedup(
-                    cold_seconds["scalar"], cold_seconds["batched"]
+                "designs": designs,
+                "scalar_seconds": replays["scalar"],
+                "batch_seconds": replays["batch"],
+                "speedup_vs_scalar": _speedup(replays["scalar"], replays["batch"]),
+                "identical_results": all(
+                    entry["identical_results"] for entry in designs.values()
                 ),
-                "speedup_warm": _speedup(
-                    warm_seconds["scalar"], warm_seconds["batched"]
-                ),
-                "identical_results": snapshots["scalar"]
-                == snapshots["batched"],
-                "result": snapshots["batched"],
+            },
+            "simulate_frame": {
+                "seconds": frame_seconds,
+                "replay_share": replays["batch"] / frame_seconds,
             },
             "total": {
-                "scalar_seconds": scalar_total,
-                "batch_seconds": batched_total,
-                "speedup_vs_scalar": _speedup(scalar_total, batched_total),
+                "scalar_seconds": totals["scalar"],
+                "batch_seconds": totals["batch"],
+                "speedup_vs_scalar": _speedup(totals["scalar"], totals["batch"]),
             },
         })
 
@@ -446,13 +449,16 @@ def bench_frame(
         w["total"]["speedup_vs_scalar"] for w in workload_results
     ]
     return {
-        "schema": "repro-bench-frame/2",
+        "schema": "repro-bench-frame/3",
         "source_version": source_version(),
         "repeats": rounds,
         "workloads": workload_results,
         "summary": {
             "min_total_speedup": min(total_speedups),
             "geomean_total_speedup": _geomean(total_speedups),
+            "min_replay_share": min(
+                w["simulate_frame"]["replay_share"] for w in workload_results
+            ),
             "identical": all(
                 w["trace"]["identical_requests"]
                 and w["expand"]["identical_expansion"]
@@ -714,8 +720,14 @@ def run_bench(
             f"{workload['total']['speedup_vs_scalar']:5.1f}x  "
             f"(trace {workload['trace']['speedup_vs_scalar']:.1f}x, "
             f"expand {workload['expand']['speedup_vs_scalar']:.1f}x, "
-            f"replay cold {replay['speedup_cold']:.1f}x / "
-            f"warm {replay['speedup_warm']:.1f}x)"
+            f"replay {replay['speedup_vs_scalar']:.1f}x over "
+            f"{len(replay['designs'])} designs)"
+        )
+        print(
+            f"{'':24s} benched replays cover "
+            f"{workload['simulate_frame']['replay_share']:.0%} of "
+            f"core.simulate_frame ({workload['simulate_frame']['seconds']:.2f} s "
+            f"for the four designs)"
         )
     frame_summary = frame["summary"]
     print(

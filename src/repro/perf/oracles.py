@@ -10,7 +10,11 @@ it.
   the reference for the columnar
   :class:`~repro.core.expansion.ExpansionColumns`;
 * :func:`replay_scalar` -- the one-event-at-a-time heap scheduler that
-  :meth:`GpuPipeline.replay_texture_stream` replays without a heap;
+  :meth:`GpuPipeline.replay_texture_stream` replays without a heap,
+  serving every request through :func:`serve_scalar`: each design's
+  per-request path (L1 -> L2 -> memory probes with per-lookup angle
+  quantisation, the reference for the two-pass replay loops of
+  :meth:`TexturePath.begin_replay`) over :class:`ExpansionRows`;
 * :func:`rasterize_scalar` -- per-pixel fragment emission and
   per-fragment footprints, the reference for the SoA
   :class:`~repro.render.raster.FragmentBatch` stream;
@@ -29,13 +33,22 @@ functions), so the only code that differs is the code under test.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.expansion import ExpansionColumns
-from repro.core.paths import TexturePath
+from repro.core.atfim import AtfimPath
+from repro.core.baseline import GpuFilteringPath
+from repro.core.expansion import _COLUMN_NAMES, ExpansionColumns
+from repro.core.paths import (
+    CacheHierarchy,
+    MemoryInterface,
+    TexturePath,
+    _line_payload_bytes,
+)
+from repro.core.stfim import StfimPath
 from repro.gpu.pipeline import GpuPipeline
+from repro.memory.traffic import TrafficClass
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
 from repro.render.raster import RasterFragment, Rasterizer, _TriangleScan
@@ -43,6 +56,7 @@ from repro.render.renderer import RenderOutput, Renderer, SamplingMode
 from repro.render.scene import Scene
 from repro.sim.latency import LatencyHistogram
 from repro.texture.address import TexelAddressMap
+from repro.texture.cache import CacheAccessResult
 from repro.texture.lod import (
     camera_angle_from_normal,
     compute_footprint,
@@ -153,6 +167,181 @@ def _flat(groups: Sequence[Sequence[int]]) -> np.ndarray:
     )
 
 
+class ExpansionRows(NamedTuple):
+    """:class:`ExpansionColumns` materialised as python lists, the
+    per-request view the scalar serves index one scalar at a time;
+    field meanings are the columns'."""
+
+    texels: List[int]
+    camera_angle: List[float]
+    line_offsets: List[int]
+    lines: List[int]
+    parent_offsets: List[int]
+    parent_line: List[int]
+    num_children: List[int]
+    child_offsets: List[int]
+    child_lines: List[int]
+
+
+def expansion_rows(columns: ExpansionColumns) -> ExpansionRows:
+    """All columns as python lists (one ``tolist`` each)."""
+    return ExpansionRows(
+        *(getattr(columns, name).tolist() for name in _COLUMN_NAMES)
+    )
+
+
+def hierarchy_lookup(
+    caches: CacheHierarchy,
+    cluster: int,
+    arrival: float,
+    address: int,
+    memory: MemoryInterface,
+) -> float:
+    """Serve one line through L1 -> L2 -> memory; return ready time."""
+    result = caches.l1[cluster].lookup(address)
+    if result is CacheAccessResult.HIT:
+        return arrival
+    if caches.l2.lookup(address) is CacheAccessResult.HIT:
+        return caches.l2_port.access(arrival, caches.line_bytes)
+    return memory.read_line(arrival, address)
+
+
+def hierarchy_probe(
+    caches: CacheHierarchy,
+    cluster: int,
+    address: int,
+    angle: Optional[float] = None,
+    angle_threshold: Optional[float] = None,
+) -> CacheAccessResult:
+    """Classify an A-TFIM parent access (updating cache state) without
+    timing: an L1 hit, else the L2's verdict; a stale angle anywhere
+    forces a recalculation, refreshing the L2 copy's tag as well."""
+    result = caches.l1[cluster].lookup(address, angle, angle_threshold)
+    if result is CacheAccessResult.HIT:
+        return result
+    l2_result = caches.l2.lookup(address, angle, angle_threshold)
+    if result is CacheAccessResult.ANGLE_MISS:
+        return result
+    return l2_result
+
+
+def serve_scalar(
+    path: TexturePath, cluster: int, issue: float, rows: ExpansionRows,
+    index: int,
+) -> float:
+    """Serve request ``index`` of ``rows`` through ``path`` one call at a
+    time; return its completion cycle at the shader."""
+    if isinstance(path, GpuFilteringPath):
+        return _serve_gpu_filtering(path, cluster, issue, rows, index)
+    if isinstance(path, StfimPath):
+        return _serve_stfim(path, cluster, issue, rows, index)
+    if isinstance(path, AtfimPath):
+        return _serve_atfim(path, cluster, issue, rows, index)
+    raise TypeError(f"no scalar serve for {type(path).__name__}")
+
+
+def _serve_gpu_filtering(
+    path: GpuFilteringPath, cluster: int, issue: float,
+    rows: ExpansionRows, index: int,
+) -> float:
+    """Baseline / B-PIM: fetch every unique line, then filter."""
+    unit = path.units[cluster]
+    unit.note_request()
+    num_texels = rows.texels[index]
+    address_done = unit.generate_addresses(issue, num_texels)
+    data_ready = address_done
+    offsets = rows.line_offsets
+    for line in rows.lines[offsets[index]:offsets[index + 1]]:
+        ready = hierarchy_lookup(
+            path.caches, cluster, address_done, line, path.memory
+        )
+        if ready > data_ready:
+            data_ready = ready
+    return unit.filter_texels(data_ready, num_texels)
+
+
+def _serve_stfim(
+    path: StfimPath, cluster: int, issue: float, rows: ExpansionRows,
+    index: int,
+) -> float:
+    """S-TFIM: queue, link, MTU fetch-and-filter, link back."""
+    lines = rows.lines[rows.line_offsets[index]:rows.line_offsets[index + 1]]
+    packets = path.config.packets
+    mtu_index = cluster // path.config.mtu_share
+    mtu = path.mtus[mtu_index]
+    mtu.note_request()
+    admitted = path.queues[mtu_index].enqueue(issue)
+    request_bytes = packets.texture_request_bytes
+    home = lines[0] if lines else 0
+    path.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
+    delivered = path.hmc.send_request(admitted, home, request_bytes)
+    num_texels = rows.texels[index]
+    address_done = mtu.generate_addresses(delivered, num_texels)
+    data_ready = address_done
+    line_bytes = _line_payload_bytes(packets, path.config.texture_compression)
+    window = path.merge_windows[mtu_index]
+    for line in lines:
+        merged_ready = window.lookup(line)
+        if merged_ready is not None:
+            ready = max(address_done, merged_ready)
+        else:
+            ready = path.hmc.internal_read(address_done, line, line_bytes)
+            path.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
+            window.insert(line, ready)
+        if ready > data_ready:
+            data_ready = ready
+    filtered = mtu.filter_texels(data_ready, num_texels)
+    response_bytes = packets.texture_response_bytes(samples=1)
+    path.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
+    return path.hmc.send_response(filtered, home, response_bytes)
+
+
+def _serve_atfim(
+    path: AtfimPath, cluster: int, issue: float, rows: ExpansionRows,
+    index: int,
+) -> float:
+    """A-TFIM: probe each parent against the angle-tagged caches, offload
+    the missing ones to the HMC, filter the parents on the GPU."""
+    unit = path.units[cluster]
+    unit.note_request()
+    threshold = path.config.effective_angle_threshold
+    angle = rows.camera_angle[index]
+    first = rows.parent_offsets[index]
+    last = rows.parent_offsets[index + 1]
+    num_parents = last - first
+    address_done = unit.generate_addresses(issue, num_parents)
+    missing: List[int] = []
+    for parent in range(first, last):
+        # Only anisotropic parents carry an angle tag.
+        needs_angle = rows.num_children[parent] > 1
+        result = hierarchy_probe(
+            path.caches, cluster, rows.parent_line[parent],
+            angle if needs_angle else None,
+            threshold if needs_angle else None,
+        )
+        if result is CacheAccessResult.HIT:
+            path.parent_reuses += 1
+        elif result is CacheAccessResult.ANGLE_MISS:
+            path.parent_recalculations += 1
+            missing.append(parent)
+        else:
+            path.parent_cold_misses += 1
+            missing.append(parent)
+    parents_ready = address_done
+    if missing:
+        offsets = rows.child_offsets
+        parents_ready = path._offload(
+            address_done,
+            rows.parent_line[missing[0]],
+            [
+                rows.child_lines[offsets[parent]:offsets[parent + 1]]
+                for parent in missing
+            ],
+            sum(rows.num_children[parent] for parent in missing),
+        )
+    return unit.filter_texels(parents_ready, num_parents)
+
+
 def replay_scalar(
     pipeline: GpuPipeline,
     trace: FragmentTrace,
@@ -163,11 +352,10 @@ def replay_scalar(
 
     Same contract and result as
     :meth:`~repro.gpu.pipeline.GpuPipeline.replay_texture_stream`,
-    serving each request through the path's scalar
-    :meth:`~repro.core.paths.TexturePath.serve` with rows built once
-    for this replay.
+    serving each request through :func:`serve_scalar` over rows built
+    once for this replay.
     """
-    rows = expansion.rows()
+    rows = expansion_rows(expansion)
     config = pipeline.config
     histogram = LatencyHistogram("texture_latency")
     depth = config.max_inflight_texture_requests
@@ -202,7 +390,7 @@ def replay_scalar(
             continue
         index = per_cluster[cluster][cursor[cluster]]
         cursor[cluster] += 1
-        completion = path.serve(cluster, issue, rows, index)
+        completion = serve_scalar(path, cluster, issue, rows, index)
         if completion < issue:
             raise RuntimeError("texture path completed before issue")
         histogram.observe(completion - issue)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import List, Optional
 
 from repro.texture.lod import ANGLE_BITS, quantize_angle
 from repro.units import BITS_PER_BYTE, Bits, Bytes, Radians
@@ -75,12 +75,6 @@ L1_TEXTURE_CACHE = CacheConfig(size_bytes=16 * 1024)
 L2_TEXTURE_CACHE = CacheConfig(size_bytes=128 * 1024)
 
 
-@dataclass
-class _Line:
-    tag: int
-    angle: Optional[float] = None
-
-
 class TextureCache:
     """An LRU set-associative cache over byte addresses.
 
@@ -93,8 +87,11 @@ class TextureCache:
     def __init__(self, config: CacheConfig, name: str = "texcache") -> None:
         self.config = config
         self.name = name
-        # One ordered dict per set: key = tag, order = LRU (oldest first).
-        self._sets: Dict[int, "OrderedDict[int, _Line]"] = {}
+        # Per set: resident tag -> the quantised camera angle its line
+        # was filled under (None when untagged), least recently used first.
+        self.sets: List["OrderedDict[int, Optional[float]]"] = [
+            OrderedDict() for _ in range(config.num_sets)
+        ]
         self.hits = 0
         self.misses = 0
         self.angle_misses = 0
@@ -124,42 +121,41 @@ class TextureCache:
         if address < 0:
             raise ValueError("negative address")
         set_index, tag = self._locate(address)
-        cache_set = self._sets.setdefault(set_index, OrderedDict())
-        stored_angle = self._quantized(angle)
+        if angle is not None:
+            angle = quantize_angle(angle, self.config.angle_bits)
+        return self.access(set_index, tag, angle, angle_threshold)
 
-        line = cache_set.get(tag)
-        if line is not None:
+    def access(
+        self,
+        set_index: int,
+        tag: int,
+        angle: Optional[float] = None,
+        angle_threshold: Optional[Radians] = None,
+    ) -> CacheAccessResult:
+        """:meth:`lookup` by precomputed set and tag, with ``angle``
+        already quantised: the whole replacement and angle policy."""
+        cache_set = self.sets[set_index]
+        if tag in cache_set:
             if angle is not None and angle_threshold is not None:
-                if line.angle is None or abs(line.angle - stored_angle) > angle_threshold:
-                    line.angle = stored_angle
+                stored = cache_set[tag]
+                if stored is None or abs(stored - angle) > angle_threshold:
+                    cache_set[tag] = angle
                     cache_set.move_to_end(tag)
                     self.angle_misses += 1
                     return CacheAccessResult.ANGLE_MISS
             cache_set.move_to_end(tag)
             self.hits += 1
             return CacheAccessResult.HIT
-
-        self._fill(cache_set, tag, stored_angle)
-        self.misses += 1
-        return CacheAccessResult.MISS
-
-    def _quantized(self, angle: Optional[float]) -> Optional[float]:
-        if angle is None:
-            return None
-        return quantize_angle(angle, self.config.angle_bits)
-
-    def _fill(
-        self, cache_set: "OrderedDict[int, _Line]", tag: int, angle: Optional[float]
-    ) -> None:
         if len(cache_set) >= self.config.associativity:
             cache_set.popitem(last=False)  # evict LRU
-        cache_set[tag] = _Line(tag=tag, angle=angle)
+        cache_set[tag] = angle
+        self.misses += 1
+        return CacheAccessResult.MISS
 
     def contains(self, address: int) -> bool:
         """Presence probe that does not disturb LRU state or counters."""
         set_index, tag = self._locate(address)
-        cache_set = self._sets.get(set_index)
-        return cache_set is not None and tag in cache_set
+        return tag in self.sets[set_index]
 
     @property
     def accesses(self) -> int:
@@ -176,10 +172,9 @@ class TextureCache:
         return (self.misses + self.angle_misses) / self.accesses
 
     def reset(self) -> None:
-        self._sets.clear()
-        self.hits = 0
-        self.misses = 0
-        self.angle_misses = 0
+        for cache_set in self.sets:
+            cache_set.clear()
+        self.reset_counters()
 
     def reset_counters(self) -> None:
         """Zero the hit/miss statistics but keep the cached contents.

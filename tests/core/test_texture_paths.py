@@ -28,14 +28,25 @@ def scene():
 
 
 def expand(scene, u=20.0, v=20.0, probes=4, lod=1.5, angle=0.4):
-    """Rows of a one-request trace's columns; serve it as request 0."""
+    """Columns of a one-request trace; serve it as request 0."""
     minor = 2.0 ** lod
     footprint = compute_footprint(minor * probes, 0.0, 0.0, minor)
     request = TextureRequest(
         pixel_x=0, pixel_y=0, texture_id=0, u=u, v=v,
         footprint=footprint, camera_angle=angle,
     )
-    return RequestExpander(scene).expand([request]).rows()
+    return RequestExpander(scene).expand([request])
+
+
+def serve(path, cluster, issue, columns, index=0):
+    """Serve one request on ``cluster`` as a replay of its own: both
+    passes of the production replay loop, then its drain-time flush."""
+    per_cluster = [[] for _ in range(path.config.gpu.num_clusters)]
+    per_cluster[cluster].append(index)
+    loop = path.begin_replay(columns, per_cluster)
+    completion = loop.serve_one(cluster, issue, index)
+    loop.finish()
+    return completion
 
 
 class TestBaselinePath:
@@ -46,14 +57,14 @@ class TestBaselinePath:
     def test_serve_advances_time(self, scene):
         traffic = TrafficMeter()
         path = GpuFilteringPath(DesignConfig(design=Design.BASELINE), traffic)
-        completion = path.serve(0, 10.0, expand(scene), 0)
+        completion = serve(path, 0, 10.0, expand(scene), 0)
         assert completion > 10.0
 
     def test_activity_counts_texels(self, scene):
         traffic = TrafficMeter()
         path = GpuFilteringPath(DesignConfig(design=Design.BASELINE), traffic)
         expanded = expand(scene)
-        path.serve(0, 0.0, expanded, 0)
+        serve(path, 0, 0.0, expanded, 0)
         activity = path.activity()
         assert activity.gpu_texture.address_ops == expanded.texels[0]
         assert activity.gpu_texture.filter_ops == expanded.texels[0]
@@ -64,16 +75,16 @@ class TestBaselinePath:
         traffic = TrafficMeter()
         path = GpuFilteringPath(DesignConfig(design=Design.BASELINE), traffic)
         expanded = expand(scene)
-        path.serve(0, 0.0, expanded, 0)
+        serve(path, 0, 0.0, expanded, 0)
         first = traffic.external_texture
         assert first > 0
-        path.serve(0, 100.0, expanded, 0)
+        serve(path, 0, 100.0, expanded, 0)
         assert traffic.external_texture == first
 
     def test_bpim_uses_hmc(self, scene):
         traffic = TrafficMeter()
         path = GpuFilteringPath(DesignConfig(design=Design.B_PIM), traffic)
-        path.serve(0, 0.0, expand(scene), 0)
+        serve(path, 0, 0.0, expand(scene), 0)
         assert path.hmc is not None
         assert path.hmc.external_reads > 0
 
@@ -81,12 +92,12 @@ class TestBaselinePath:
         traffic = TrafficMeter()
         path = GpuFilteringPath(DesignConfig(design=Design.BASELINE), traffic)
         expanded = expand(scene)
-        path.serve(0, 0.0, expanded, 0)
+        serve(path, 0, 0.0, expanded, 0)
         path.reset_for_measurement()
         assert path.activity().gpu_texture.address_ops == 0
         # Cache contents survive: the re-served request misses nowhere.
         traffic.reset()
-        path.serve(0, 0.0, expanded, 0)
+        serve(path, 0, 0.0, expanded, 0)
         assert traffic.external_texture == 0.0
 
 
@@ -96,9 +107,9 @@ class TestStfimPath:
         config = DesignConfig(design=Design.S_TFIM)
         path = StfimPath(config, traffic)
         expanded = expand(scene)
-        path.serve(0, 0.0, expanded, 0)
+        serve(path, 0, 0.0, expanded, 0)
         per_request = traffic.external_texture
-        path.serve(0, 100.0, expanded, 0)
+        serve(path, 0, 100.0, expanded, 0)
         # No caches: the second identical request pays the same again.
         assert traffic.external_texture == pytest.approx(2 * per_request)
         expected = (
@@ -110,7 +121,7 @@ class TestStfimPath:
     def test_internal_reads_happen(self, scene):
         traffic = TrafficMeter()
         path = StfimPath(DesignConfig(design=Design.S_TFIM), traffic)
-        path.serve(0, 0.0, expand(scene), 0)
+        serve(path, 0, 0.0, expand(scene), 0)
         assert path.hmc.internal_reads > 0
         assert traffic.internal_total > 0
 
@@ -118,9 +129,9 @@ class TestStfimPath:
         traffic = TrafficMeter()
         path = StfimPath(DesignConfig(design=Design.S_TFIM), traffic)
         expanded = expand(scene)
-        path.serve(0, 0.0, expanded, 0)
+        serve(path, 0, 0.0, expanded, 0)
         reads_first = path.hmc.internal_reads
-        path.serve(0, 1.0, expanded, 0)
+        serve(path, 0, 1.0, expanded, 0)
         # Identical request right behind: all its lines merge.
         assert path.hmc.internal_reads == reads_first
         assert path.merge_windows[0].merged > 0
@@ -131,14 +142,14 @@ class TestStfimPath:
             DesignConfig(design=Design.S_TFIM, mtu_share=4), traffic
         )
         assert len(path.mtus) == 4
-        path.serve(0, 0.0, expand(scene), 0)
-        path.serve(3, 0.0, expand(scene), 0)
+        serve(path, 0, 0.0, expand(scene), 0)
+        serve(path, 3, 0.0, expand(scene), 0)
         assert path.mtus[0].activity.requests == 2
 
     def test_activity_is_memory_side(self, scene):
         traffic = TrafficMeter()
         path = StfimPath(DesignConfig(design=Design.S_TFIM), traffic)
-        path.serve(0, 0.0, expand(scene), 0)
+        serve(path, 0, 0.0, expand(scene), 0)
         activity = path.activity()
         assert activity.memory_texture.address_ops > 0
         assert activity.gpu_texture.address_ops == 0
@@ -158,7 +169,7 @@ class TestAtfimPath:
 
     def test_cold_miss_offloads_package(self, scene):
         path, traffic = self.make_path()
-        path.serve(0, 0.0, expand(scene), 0)
+        serve(path, 0, 0.0, expand(scene), 0)
         assert path.offload_packages == 1
         assert path.parent_cold_misses > 0
         assert traffic.external_texture > 0
@@ -166,17 +177,17 @@ class TestAtfimPath:
     def test_warm_same_angle_reuses_without_offload(self, scene):
         path, traffic = self.make_path()
         expanded = expand(scene, angle=0.4)
-        path.serve(0, 0.0, expanded, 0)
+        serve(path, 0, 0.0, expanded, 0)
         packages_before = path.offload_packages
-        path.serve(0, 100.0, expanded, 0)
+        serve(path, 0, 100.0, expanded, 0)
         assert path.offload_packages == packages_before
         assert path.parent_reuses > 0
 
     def test_angle_change_forces_recalculation(self, scene):
         path, traffic = self.make_path()
-        path.serve(0, 0.0, expand(scene, angle=0.1), 0)
+        serve(path, 0, 0.0, expand(scene, angle=0.1), 0)
         packages_before = path.offload_packages
-        path.serve(0, 100.0, expand(scene, angle=1.2), 0)
+        serve(path, 0, 100.0, expand(scene, angle=1.2), 0)
         assert path.offload_packages > packages_before
         assert path.parent_recalculations > 0
 
@@ -186,7 +197,7 @@ class TestAtfimPath:
             for index, angle in enumerate(
                 [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
             ):
-                path.serve(0, index * 100.0, expand(scene, angle=angle), 0)
+                serve(path, 0, index * 100.0, expand(scene, angle=angle), 0)
             return path.parent_recalculations
 
         assert recalcs(math.pi) <= recalcs(0.01 * math.pi)
@@ -194,14 +205,14 @@ class TestAtfimPath:
     def test_isotropic_parents_skip_angle_check(self, scene):
         path, _ = self.make_path()
         expanded = expand(scene, probes=1, lod=0.0, angle=0.1)
-        path.serve(0, 0.0, expanded, 0)
-        path.serve(0, 100.0, expand(scene, probes=1, lod=0.0, angle=1.4), 0)
+        serve(path, 0, 0.0, expanded, 0)
+        serve(path, 0, 100.0, expand(scene, probes=1, lod=0.0, angle=1.4), 0)
         # Isotropic fetches carry no angle tag: no recalculations.
         assert path.parent_recalculations == 0
 
     def test_children_fetched_internally(self, scene):
         path, traffic = self.make_path()
-        path.serve(0, 0.0, expand(scene, probes=8), 0)
+        serve(path, 0, 0.0, expand(scene, probes=8), 0)
         assert path.child_texels_generated > 0
         assert traffic.internal_total > 0
         assert path.hmc.internal_reads > 0
@@ -210,21 +221,21 @@ class TestAtfimPath:
         on_path, _ = self.make_path(consolidation_enabled=True)
         off_path, _ = self.make_path(consolidation_enabled=False)
         expanded = expand(scene, probes=8, lod=2.0)
-        on_path.serve(0, 0.0, expanded, 0)
-        off_path.serve(0, 0.0, expanded, 0)
+        serve(on_path, 0, 0.0, expanded, 0)
+        serve(off_path, 0, 0.0, expanded, 0)
         assert on_path.child_lines_fetched <= off_path.child_lines_fetched
 
     def test_recalculation_rate(self, scene):
         path, _ = self.make_path()
         assert path.recalculation_rate() == 0.0
-        path.serve(0, 0.0, expand(scene, angle=0.1), 0)
-        path.serve(0, 100.0, expand(scene, angle=1.2), 0)
+        serve(path, 0, 0.0, expand(scene, angle=0.1), 0)
+        serve(path, 0, 100.0, expand(scene, angle=1.2), 0)
         assert 0.0 < path.recalculation_rate() < 1.0
 
     def test_gpu_side_work_is_parent_sized(self, scene):
         path, _ = self.make_path()
         expanded = expand(scene, probes=8)
-        path.serve(0, 0.0, expanded, 0)
+        serve(path, 0, 0.0, expanded, 0)
         activity = path.activity()
         assert activity.gpu_texture.address_ops == expanded.parent_offsets[1]
         # Parents sharing a cache line are covered by one fill, so the
